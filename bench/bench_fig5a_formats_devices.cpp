@@ -19,7 +19,7 @@ int main()
 {
     auto cuda = CudaExecutor::create();
     auto hip = HipExecutor::create();
-    // MGKO_PROFILE=<path|stdout> dumps a per-tag kernel/allocation profile.
+    // MGKO_METRICS=<path|stdout> dumps a per-tag kernel/allocation profile.
     bench::ProfileScope profile{"fig5a", {cuda, hip}};
 
     auto suite = matgen::overhead_suite();

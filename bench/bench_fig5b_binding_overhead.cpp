@@ -30,7 +30,7 @@ struct sample {
 
 int main()
 {
-    // MGKO_PROFILE=<path|stdout>: per-call bind.* tags with the
+    // MGKO_METRICS=<path|stdout>: per-call bind.* tags with the
     // GIL-wait/lookup/boxing/interpreter breakdown this figure isolates.
     bench::ProfileScope profile{"fig5b", {}};
     auto suite = matgen::overhead_suite();

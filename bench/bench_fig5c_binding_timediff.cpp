@@ -17,7 +17,7 @@ using namespace mgko;
 
 int main()
 {
-    // MGKO_PROFILE=<path|stdout>: bind.* overhead breakdown per bound call.
+    // MGKO_METRICS=<path|stdout>: bind.* overhead breakdown per bound call.
     bench::ProfileScope profile{"fig5c", {}};
     auto suite = matgen::overhead_suite();
     std::sort(suite.begin(), suite.end(), [](const auto& a, const auto& b) {

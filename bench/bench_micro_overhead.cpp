@@ -20,7 +20,7 @@
 #include "bindings/registry.hpp"
 #include "config/json.hpp"
 #include "log/flight_recorder.hpp"
-#include "log/profiler.hpp"
+#include "log/metrics.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "solver/cg.hpp"
@@ -361,16 +361,16 @@ void measure_flight_recorder_overhead()
 
 }  // namespace
 
-// BENCHMARK_MAIN, plus the opt-in MGKO_PROFILE hook: with the variable
+// BENCHMARK_MAIN, plus the opt-in MGKO_METRICS hook: with the variable
 // set, every bound call made by the benchmarks above is attributed to
 // bind.* tags (per-name wall time and the GIL-wait/lookup/boxing/
-// interpreter breakdown) and the JSON is dumped at exit.  Unset, no
+// interpreter breakdown) and the registry is dumped at exit.  Unset, no
 // logger is attached and the measured numbers are unaffected.
 int main(int argc, char** argv)
 {
-    auto profiler = log::profiler_from_env();
-    if (profiler) {
-        bind::add_logger(profiler);
+    auto metrics = log::metrics_from_env();
+    if (metrics) {
+        bind::add_logger(metrics);
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
@@ -378,9 +378,9 @@ int main(int argc, char** argv)
     }
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    if (profiler) {
-        bind::remove_logger(profiler.get());
-        log::dump_profile(*profiler, "micro_overhead");
+    if (metrics) {
+        bind::remove_logger(metrics.get());
+        log::dump_metrics(*metrics, "micro_overhead");
     }
     measure_flight_recorder_overhead();
     return 0;

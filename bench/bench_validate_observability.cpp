@@ -11,7 +11,7 @@
 // for the invariants CI relies on:
 //   * trace:      Chrome Trace Event JSON — a non-empty "traceEvents" array
 //                 where every event carries "name", "ph", and "ts";
-//   * profile:    ProfilerLogger JSON — a non-empty "tags" object whose
+//   * profile:    profile-view JSON — a non-empty "tags" object whose
 //                 entries carry "count" and "wall_ns";
 //   * metrics:    MetricsRegistry JSON — "counters" and "histograms"
 //                 objects;

@@ -17,9 +17,8 @@
 
 #include "bindings/registry.hpp"
 #include "core/executor.hpp"
+#include "log/flight_recorder.hpp"
 #include "log/metrics.hpp"
-#include "log/profiler.hpp"
-#include "log/trace.hpp"
 #include "matgen/matgen.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
@@ -261,75 +260,48 @@ inline void check_shape(const char* claim, bool holds, const std::string& detail
 }
 
 
-/// Opt-in observability for a bench run: when MGKO_PROFILE / MGKO_TRACE /
-/// MGKO_METRICS are set, attaches the corresponding logger (ProfilerLogger,
-/// TraceLogger, MetricsLogger) to the given executors and to the binding
-/// layer for the scope's lifetime and dumps each artifact where its
-/// variable points on destruction.  Unset variables are no-ops, keeping
-/// the measured numbers free of logging overhead.
+/// Opt-in observability for a bench run.  MGKO_METRICS attaches the
+/// process-wide metrics logger to the given executors and to the binding
+/// layer for the scope's lifetime; on destruction the registry is dumped
+/// as Prometheus text plus its per-tag profile view, and under MGKO_TRACE
+/// the shared flight recorder's trace is dumped too (the executor
+/// factories and the binding layer already feed it).  Unset variables are
+/// no-ops, keeping the measured numbers free of logging overhead.
 class ProfileScope {
 public:
     ProfileScope(std::string name,
                  std::vector<std::shared_ptr<Executor>> execs)
         : name_{std::move(name)},
-          profiler_{log::profiler_from_env()},
-          tracer_{log::tracer_from_env()},
           metrics_{log::metrics_from_env()},
           execs_{std::move(execs)}
     {
-        attach(profiler_);
-        attach(tracer_);
-        attach(metrics_);
+        // add_logger deduplicates, so attaching the process-wide logger
+        // here is harmless when the executor factory already did.
+        if (metrics_) {
+            for (const auto& exec : execs_) {
+                exec->add_logger(metrics_);
+            }
+            bind::add_logger(metrics_);
+        }
     }
 
     ~ProfileScope()
     {
-        detach(metrics_);
-        detach(tracer_);
-        detach(profiler_);
-        if (profiler_) {
-            log::dump_profile(*profiler_, name_);
-        }
-        if (tracer_) {
-            log::dump_trace(*tracer_, name_);
-        }
         if (metrics_) {
+            bind::remove_logger(metrics_.get());
+            for (const auto& exec : execs_) {
+                exec->remove_logger(metrics_.get());
+            }
             log::dump_metrics(*metrics_, name_);
         }
+        log::dump_trace(*log::shared_flight_recorder(), name_);
     }
 
     ProfileScope(const ProfileScope&) = delete;
     ProfileScope& operator=(const ProfileScope&) = delete;
 
 private:
-    // add_logger deduplicates, so attaching the process-wide tracer or
-    // metrics logger here is harmless when the executor factory already
-    // auto-attached it.
-    void attach(const std::shared_ptr<log::EventLogger>& logger)
-    {
-        if (!logger) {
-            return;
-        }
-        for (const auto& exec : execs_) {
-            exec->add_logger(logger);
-        }
-        bind::add_logger(logger);
-    }
-
-    void detach(const std::shared_ptr<log::EventLogger>& logger)
-    {
-        if (!logger) {
-            return;
-        }
-        bind::remove_logger(logger.get());
-        for (const auto& exec : execs_) {
-            exec->remove_logger(logger.get());
-        }
-    }
-
     std::string name_;
-    std::shared_ptr<log::ProfilerLogger> profiler_;
-    std::shared_ptr<log::TraceLogger> tracer_;
     std::shared_ptr<log::MetricsLogger> metrics_;
     std::vector<std::shared_ptr<Executor>> execs_;
 };

@@ -23,7 +23,6 @@
 #include "log/hw_counters.hpp"
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
-#include "log/trace.hpp"
 #include "matrix/convolution.hpp"
 #include "serve/solve_server.hpp"
 #include "serve/telemetry_server.hpp"
@@ -802,17 +801,17 @@ void register_batch_matrix_bindings(Module& m)
 // --- observability bindings (module-level, no type suffix) ------------------
 //
 // The Python front end exposes these as mgko.trace_dump() etc.; they
-// operate on the process-wide shared tracer/metrics singletons, so a
-// caller can scrape metrics or pull a Perfetto-loadable trace of
-// everything that ran since the last reset without touching executors.
+// operate on the process-wide flight recorder and metrics singletons, so
+// a caller can scrape metrics or pull a Perfetto-loadable trace of
+// everything the recorder still holds without touching executors.
 
 void register_observability_bindings(Module& m)
 {
     m.def("trace_dump", [](const List&) -> Value {
-        return Value{log::shared_tracer()->to_json()};
+        return Value{log::shared_flight_recorder()->to_chrome_trace_json()};
     });
     m.def("trace_reset", [](const List&) -> Value {
-        log::shared_tracer()->reset();
+        log::shared_flight_recorder()->reset();
         return {};
     });
     m.def("metrics_text", [](const List&) -> Value {

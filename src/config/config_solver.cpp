@@ -11,7 +11,6 @@
 #include "core/dispatch.hpp"
 #include "log/hw_counters.hpp"
 #include "log/sampling_profiler.hpp"
-#include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
@@ -67,9 +66,8 @@ std::vector<std::string> solver_config_keys(
 {
     std::vector<std::string> valid{
         "type",          "value_type", "index_type", "format",
-        "reorder",       "slice_size", "sorting_window", "trace",
-        "trace_sample",  "telemetry",  "solve_server", "sampling_hz",
-        "hw_counters"};
+        "reorder",       "slice_size", "sorting_window", "trace_sample",
+        "telemetry",     "solve_server", "sampling_hz", "hw_counters"};
     valid.insert(valid.end(), extra.begin(), extra.end());
     return valid;
 }
@@ -425,9 +423,8 @@ std::shared_ptr<const batch::BatchLinOpFactory> parse_batch_factory_typed(
     validate_config_keys(
         config,
         {"type", "batch", "value_type", "index_type", "criteria", "max_iters",
-         "reduction_factor", "baseline", "preconditioner", "trace",
-         "trace_sample", "telemetry", "solve_server", "sampling_hz",
-         "hw_counters"},
+         "reduction_factor", "baseline", "preconditioner", "trace_sample",
+         "telemetry", "solve_server", "sampling_hz", "hw_counters"},
         "batched solver \"" + type + "\"");
 
     auto criteria = parse_criteria(config);
@@ -620,11 +617,6 @@ std::unique_ptr<LinOp> config_solver(const Json& config,
 {
     auto solver =
         parse_factory(config, std::move(exec))->generate(std::move(system));
-    // A `"trace": true` key attaches the process-wide tracer to the
-    // generated solver — per-solver opt-in without MGKO_TRACE.
-    if (config.get_or("trace", Json{false}).as_bool()) {
-        solver->add_logger(log::shared_tracer());
-    }
     apply_telemetry_key(config);
     apply_solve_server_key(config);
     apply_trace_sample_key(config);
@@ -735,9 +727,6 @@ std::unique_ptr<batch::BatchLinOp> batch_config_solver(
 {
     auto solver = parse_batch_factory(config, std::move(exec))
                       ->generate(std::move(system));
-    if (config.get_or("trace", Json{false}).as_bool()) {
-        solver->add_logger(log::shared_tracer());
-    }
     apply_telemetry_key(config);
     apply_solve_server_key(config);
     apply_trace_sample_key(config);

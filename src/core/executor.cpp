@@ -11,7 +11,6 @@
 #include "log/hw_counters.hpp"
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
-#include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "log/work_model.hpp"
 #include "serve/solve_server.hpp"
@@ -35,11 +34,10 @@ double now_wall_ns()
             .count());
 }
 
-/// Observability wiring for every factory-created executor.  The opt-in
-/// tiers (MGKO_TRACE / MGKO_METRICS) attach the process-wide tracer and
-/// metrics logger; the always-on tier attaches the flight recorder
-/// unconditionally (opt out with MGKO_FLIGHT_RECORDER=0) and, when the
-/// telemetry server is live, the shared metrics registry so /metrics has
+/// Observability wiring for every factory-created executor: the
+/// process-wide flight recorder (always on unless MGKO_FLIGHT_RECORDER=0
+/// without MGKO_TRACE) and the process-wide metrics logger when
+/// MGKO_METRICS is set or the telemetry server is live, so /metrics has
 /// executor-level series to serve.  MGKO_TELEMETRY_PORT and
 /// MGKO_FLIGHT_POSTMORTEM take effect on the first executor creation.
 /// add_logger deduplicates, so repeated attachment points are harmless.
@@ -51,7 +49,6 @@ ExecPtr with_env_observers(ExecPtr exec)
     log::hw_counters_from_env();
     serve::telemetry_from_env();
     serve::solve_server_from_env();
-    exec->add_logger(log::tracer_from_env());
     exec->add_logger(log::metrics_from_env());
     exec->add_logger(log::flight_recorder_from_env());
     if (serve::telemetry_active()) {
@@ -192,12 +189,6 @@ void Executor::synchronize() const
 
 void Executor::run(const Operation& op) const
 {
-    const bool logged = has_loggers();
-    if (logged) {
-        log_event([&](log::EventLogger& l) {
-            l.on_operation_launched(this, op.name());
-        });
-    }
     // Zero the thread's work accumulator for the duration of the dispatch
     // (keeping whatever an enclosing run accumulated), so the completion
     // event and the request-cost attribution report exactly this
@@ -230,7 +221,7 @@ void Executor::run(const Operation& op) const
     // owner here — no capture/restore is needed inside the parallel
     // region itself.
     log::note_request_kernel(op.name(), wall, work.flops, work.bytes);
-    if (logged) {
+    if (has_loggers()) {
         log_event([&](log::EventLogger& l) {
             l.on_operation_completed(this, op.name(), wall, work.flops,
                                      work.bytes);

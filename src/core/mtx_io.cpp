@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/exception.hpp"
@@ -96,6 +97,21 @@ bool next_content_line(std::istream& stream, std::string& line)
     return false;
 }
 
+/// Bytes left to read in `stream`; 0 when it cannot seek.  Every entry
+/// takes at least two of them (a digit and a separator), so this bounds
+/// how many entries the input can still hold, whatever its header claims.
+int64 remaining_bytes(std::istream& stream)
+{
+    const auto here = stream.tellg();
+    if (here < 0) {
+        return 0;
+    }
+    stream.seekg(0, std::ios::end);
+    const auto end = stream.tellg();
+    stream.seekg(here);
+    return end > here ? static_cast<int64>(end - here) : 0;
+}
+
 }  // namespace
 
 
@@ -123,13 +139,22 @@ matrix_data<double, int64> read_mtx(std::istream& stream,
         if (!(size_line >> rows >> cols)) {
             fail(path, "malformed array size line: " + line);
         }
-        nnz = rows * cols;
     }
     if (rows < 0 || cols < 0 || nnz < 0) {
         fail(path, "negative dimensions");
     }
+    if (!h.coordinate) {
+        if (rows > 0 && cols > std::numeric_limits<int64>::max() / rows) {
+            fail(path, "array dimensions overflow: " + line);
+        }
+        nnz = rows * cols;
+    }
     data.size = dim2{rows, cols};
-    data.entries.reserve(static_cast<std::size_t>(nnz));
+    // The header is untrusted: reserve only what the remaining bytes can
+    // hold, so a tiny body declaring a huge nnz fails on its missing
+    // entries instead of on the allocation.
+    data.entries.reserve(
+        static_cast<std::size_t>(std::min(nnz, remaining_bytes(stream) / 2)));
 
     if (h.coordinate) {
         for (int64 i = 0; i < nnz; ++i) {

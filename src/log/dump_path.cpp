@@ -2,6 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <cstdio>
+
 namespace mgko::log {
 
 namespace {
@@ -46,6 +48,39 @@ std::string resolve_dump_path(const std::string& dest, const std::string& kind,
         prefix.resize(prefix.size() - ext.size());
     }
     return prefix + "-" + name + ext;
+}
+
+
+std::string json_escape(std::string_view text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (const char c : text) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 

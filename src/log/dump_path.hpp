@@ -1,21 +1,20 @@
-// Shared destination resolution for the MGKO_PROFILE / MGKO_TRACE /
-// MGKO_METRICS dump switches (and the flight recorder's MGKO_FLIGHT_*
-// variables).  Historically a non-"1" value was taken verbatim as a file
-// path, which made two benches in one pipeline overwrite each other's
-// artifacts; now the value can also name a directory or a path prefix and
-// each dump derives a per-run file name from it:
+// Helpers shared by every artifact the log tier writes: destination
+// resolution for the MGKO_TRACE / MGKO_METRICS dump switches, and the one
+// JSON string escape the exporters use.  A dump destination can name
+// stdout, a directory, or a path prefix, and each dump derives a per-run
+// file name from it, so two benches in one pipeline never overwrite each
+// other's artifacts:
 //
 //   "-" / "1" / "stdout"   print to stdout (dump_to_stdout)
 //   "out/" or existing dir "out/mgko-<kind>-<name>.<ext>"
 //   "out/run3"             "out/run3-<name>.<ext>"   (path prefix)
 //   "out/run3.json"        "out/run3-<name>.json"    (extension re-applied)
 //
-// so MGKO_TRACE=/tmp/obs/ keeps fig5a and fig5b traces side by side while
-// MGKO_TRACE=trace.json still lands next to the old behaviour, minus the
-// collision.
+// so MGKO_TRACE=/tmp/obs/ keeps fig5a and fig5b traces side by side.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace mgko::log {
 
@@ -24,12 +23,16 @@ namespace mgko::log {
 bool dump_to_stdout(const std::string& dest);
 
 /// Resolves a dump destination to a concrete file path.  `kind` is the
-/// artifact family ("profile", "trace", "metrics", "flight"), `name` the
+/// artifact family ("profile", "trace", "metrics"), `name` the
 /// per-run label (the bench figure id), `ext` the extension including the
 /// dot (".json", ".txt").  See the table above for the rules; `dest` is
 /// treated as a directory when it exists as one or ends with '/'.
 std::string resolve_dump_path(const std::string& dest, const std::string& kind,
                               const std::string& name, const std::string& ext);
+
+/// `text` escaped for use inside a JSON string literal (quotes,
+/// backslashes, and control characters).
+std::string json_escape(std::string_view text);
 
 
 }  // namespace mgko::log

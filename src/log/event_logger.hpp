@@ -2,14 +2,24 @@
 // gko::log::Logger (Anzt et al., "Ginkgo: A Modern Linear Operator Algebra
 // Framework for HPC").
 //
-// An EventLogger receives framework events; concrete loggers (see
-// log/profiler.hpp) aggregate or record them.  Loggers attach at three
+// An EventLogger receives framework events.  The library ships two sinks,
+// and every observability artifact is a view over one of them:
+//
+//   * FlightRecorder (log/flight_recorder.hpp) keeps the timeline: one
+//     fixed-size record per event in per-thread rings.  The Chrome trace
+//     (MGKO_TRACE, /trace.json), the recent-window profile (/profile.json)
+//     and the crash postmortem are derived from its snapshots.
+//   * MetricsLogger (log/metrics.hpp) keeps the running totals in a
+//     MetricsRegistry.  The Prometheus exposition and the per-tag profile
+//     (MGKO_METRICS) are derived from the registry.
+//
+// Users may attach their own sinks next to these.  Loggers attach at three
 // layers, mirroring where mgko does attributable work:
 //
 //   * Executor  — memory traffic (allocation/free/copy), pool behaviour
-//                 (hit/miss/trim), and every kernel launch with its
-//                 Operation tag and real wall time,
-//   * LinOp     — solver progress (iteration / stop events),
+//                 (hit/miss/trim), and every completed kernel with its
+//                 Operation tag, real wall time and reported work,
+//   * LinOp     — solver progress (iteration / stop events, phase spans),
 //   * bind::    — binding dispatch (GIL wait + lookup + boxing + modeled
 //                 interpreter constant per bound call; see
 //                 bindings/registry.hpp).
@@ -22,10 +32,9 @@
 // the hooks in place).
 //
 // Thread safety: event *emission* may happen concurrently from many
-// threads, and concrete loggers must tolerate that (ProfilerLogger and
-// RecordLogger lock internally).  Attaching/removing loggers concurrently
-// with emission is not synchronized — attach before the instrumented work
-// starts, as Ginkgo does.
+// threads, and concrete loggers must tolerate that.  Attaching/removing
+// loggers concurrently with emission is not synchronized — attach before
+// the instrumented work starts, as Ginkgo does.
 #pragma once
 
 #include <algorithm>
@@ -75,10 +84,6 @@ public:
     {}
 
     // --- operation events (Executor layer) ------------------------------
-    /// `op_name` is about to be dispatched on `exec`.
-    virtual void on_operation_launched(const Executor*,
-                                       const char* /*op_name*/)
-    {}
     /// `op_name` finished; `wall_ns` is the real wall time of its body,
     /// `flops`/`bytes` the work its kernel reported through the cost-model
     /// profile (zero for operations whose kernels bypass kernels::tick).
@@ -91,8 +96,8 @@ public:
     // --- span events (any layer) -----------------------------------------
     /// A nested phase named `name` opened on the calling thread.  Emitting
     /// layers guarantee begin/end pairs are well nested per thread
-    /// (solver apply → iteration, batch apply → round); TraceLogger turns
-    /// them into Chrome Trace duration slices.
+    /// (solver apply → iteration, batch apply → round); the recorder's
+    /// trace view turns them into Chrome Trace duration slices.
     virtual void on_span_begin(const char* /*name*/) {}
     /// The innermost open span named `name` closed on the calling thread.
     virtual void on_span_end(const char* /*name*/) {}

@@ -1,7 +1,5 @@
 #include "log/flight_recorder.hpp"
 
-#include "log/trace_context.hpp"
-
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -13,8 +11,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <fstream>
+#include <iostream>
 #include <map>
 #include <sstream>
+#include <tuple>
+
+#include "batch/batch_log.hpp"
+#include "bindings/registry.hpp"
+#include "log/dump_path.hpp"
+#include "log/metrics.hpp"
+#include "log/trace_context.hpp"
+#include "log/work_model.hpp"
 
 namespace mgko::log {
 
@@ -90,7 +98,41 @@ int flight_thread_index()
 
 
 constexpr std::uint8_t max_kind =
-    static_cast<std::uint8_t>(FlightRecorder::event_kind::binding);
+    static_cast<std::uint8_t>(FlightRecorder::event_kind::batch_reason);
+
+// The kind+tag header word uses its low 24 bits; the upper 40 carry the
+// trace-only payload ("extra"): a float for an operation's bytes, two
+// 20-bit truncated floats (8 exponent + 12 mantissa bits, so within
+// 0.025%) for a bound call's lookup and boxing times, or an integer.
+constexpr int extra_shift = 24;
+constexpr std::uint64_t extra_max = (std::uint64_t{1} << 40) - 1;
+constexpr std::uint64_t f20_mask = (std::uint64_t{1} << 20) - 1;
+
+std::uint64_t pack_float(double value)
+{
+    return std::bit_cast<std::uint32_t>(static_cast<float>(value));
+}
+
+double unpack_float(std::uint64_t bits)
+{
+    return std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+}
+
+std::uint64_t pack_f20(double value)
+{
+    return pack_float(value > 0.0 ? value : 0.0) >> 11;
+}
+
+double unpack_f20(std::uint64_t bits)
+{
+    return unpack_float((bits & f20_mask) << 11);
+}
+
+std::uint64_t pack_count(size_type value)
+{
+    return std::min(static_cast<std::uint64_t>(std::max<size_type>(value, 0)),
+                    extra_max);
+}
 
 const char* kind_name(FlightRecorder::event_kind kind)
 {
@@ -123,6 +165,8 @@ const char* kind_name(FlightRecorder::event_kind kind)
         return "batch_stop";
     case FlightRecorder::event_kind::binding:
         return "binding";
+    case FlightRecorder::event_kind::batch_reason:
+        return "batch_reason";
     }
     return "?";
 }
@@ -150,25 +194,48 @@ const char* kind_category(FlightRecorder::event_kind kind)
         return "solver";
     case FlightRecorder::event_kind::batch_iteration:
     case FlightRecorder::event_kind::batch_stop:
+    case FlightRecorder::event_kind::batch_reason:
         return "batch";
     }
     return "?";
 }
 
-std::string json_escape(const char* text)
+/// A bound call's overhead channels in call order — gil wait, lookup,
+/// boxing, and the modeled interpreter frame (the process constant) — as
+/// (tag, trace arg name, ns).
+std::array<std::tuple<const char*, const char*, double>, 4> binding_breakdown(
+    const FlightRecorder::record& rec, std::uint64_t extra)
 {
-    std::string out;
-    for (const char* c = text; *c != '\0'; ++c) {
-        if (*c == '"' || *c == '\\') {
-            out += '\\';
-        }
-        if (*c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += *c;
+    return {{{"bind.gil_wait", "gil_wait_ns", rec.b},
+             {"bind.lookup", "lookup_ns", unpack_f20(extra)},
+             {"bind.boxing", "boxing_ns", unpack_f20(extra >> 20)},
+             {"bind.interpreter", "interpreter_ns",
+              bind::interpreter_call_ns()}}};
+}
+
+/// Trace-arg names of an instant record's a / b payloads (null: omitted).
+std::pair<const char*, const char*> payload_names(
+    FlightRecorder::event_kind kind)
+{
+    using kinds = FlightRecorder::event_kind;
+    switch (kind) {
+    case kinds::alloc:
+    case kinds::copy:
+    case kinds::pool_hit:
+    case kinds::pool_miss:
+    case kinds::pool_trim:
+        return {"bytes", nullptr};
+    case kinds::iteration:
+        return {"iteration", "residual_norm"};
+    case kinds::solver_stop:
+        return {"iterations", "converged"};
+    case kinds::batch_iteration:
+        return {"iteration", "max_residual_norm"};
+    case kinds::batch_stop:
+        return {"converged_systems", "num_systems"};
+    default:
+        return {nullptr, nullptr};
     }
-    return out;
 }
 
 std::string json_number(double value)
@@ -230,7 +297,8 @@ FlightRecorder::ring* FlightRecorder::thread_ring()
 }
 
 
-void FlightRecorder::emit(event_kind kind, const char* tag, double a, double b)
+void FlightRecorder::emit(event_kind kind, const char* tag, double a,
+                          double b, std::uint64_t extra)
 {
     ring* r = thread_ring();
     if (r == nullptr) {
@@ -243,7 +311,8 @@ void FlightRecorder::emit(event_kind kind, const char* tag, double a, double b)
     auto* w =
         r->words.get() + ring::words_per_slot * (seq & (r->capacity - 1));
     w[0].store(ts, std::memory_order_relaxed);
-    w[1].store(static_cast<std::uint64_t>(kind) | (std::uint64_t{id} << 8),
+    w[1].store(static_cast<std::uint64_t>(kind) | (std::uint64_t{id} << 8) |
+                   (extra << extra_shift),
                std::memory_order_relaxed);
     w[2].store(std::bit_cast<std::uint64_t>(a), std::memory_order_relaxed);
     w[3].store(std::bit_cast<std::uint64_t>(b), std::memory_order_relaxed);
@@ -387,7 +456,7 @@ void FlightRecorder::visit_records(Visitor&& visit) const
             rec.kind = static_cast<event_kind>(raw_kind);
             rec.tag_id = static_cast<std::uint16_t>((packed >> 8) & 0xFFFF);
             rec.tag = tag_name(rec.tag_id);
-            visit(rec);
+            visit(rec, packed >> extra_shift);
         }
     }
 }
@@ -396,7 +465,8 @@ void FlightRecorder::visit_records(Visitor&& visit) const
 std::vector<FlightRecorder::record> FlightRecorder::snapshot() const
 {
     std::vector<record> out;
-    visit_records([&](const record& rec) { out.push_back(rec); });
+    visit_records(
+        [&](const record& rec, std::uint64_t) { out.push_back(rec); });
     return out;
 }
 
@@ -404,14 +474,14 @@ std::vector<FlightRecorder::record> FlightRecorder::snapshot() const
 std::string FlightRecorder::to_chrome_trace_json(
     std::uint64_t trace_filter) const
 {
-    auto snap = snapshot();
-    if (trace_filter != 0) {
-        // One request's records only: the span-repair pass below then
-        // yields just that request's well-nested spans per thread.
-        std::erase_if(snap, [trace_filter](const record& rec) {
-            return rec.trace != trace_filter;
-        });
-    }
+    std::vector<std::pair<record, std::uint64_t>> snap;
+    visit_records([&](const record& rec, std::uint64_t extra) {
+        // A nonzero filter keeps one request's records only: the
+        // span-repair pass below then yields just its well-nested spans.
+        if (trace_filter == 0 || rec.trace == trace_filter) {
+            snap.emplace_back(rec, extra);
+        }
+    });
     std::ostringstream out;
     out << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
     bool first = true;
@@ -434,6 +504,11 @@ std::string FlightRecorder::to_chrome_trace_json(
         out << "}";
         first = false;
     };
+    // Appends one "name": value member to an args list.
+    auto arg = [](std::string& args, const char* name, double value) {
+        args += (args.empty() ? "\"" : ", \"") + std::string{name} +
+                "\": " + json_number(value);
+    };
     // Attributed records carry their trace word so a trace id found in a
     // metric exemplar or a /v1/requests summary resolves to concrete
     // slices here.
@@ -446,71 +521,106 @@ std::string FlightRecorder::to_chrome_trace_json(
         }
         return args;
     };
+    std::uint64_t next_span_id = 1;
     // Records arrive grouped per tid in ring order; convert each thread's
     // run and repair span pairing at its boundaries (the ring may have
     // dropped a span_begin to wraparound, or hold a still-open span).
     std::size_t i = 0;
     while (i < snap.size()) {
-        const int tid = snap[i].tid;
-        std::vector<const record*> open_spans;
+        const int tid = snap[i].first.tid;
+        std::vector<std::pair<const record*, std::uint64_t>> open_spans;
+        std::string stop_reasons;  // batch_reason records awaiting their stop
         std::uint64_t last_ts = 0;
-        for (; i < snap.size() && snap[i].tid == tid; ++i) {
-            const record& rec = snap[i];
+        for (; i < snap.size() && snap[i].first.tid == tid; ++i) {
+            const auto& [rec, extra] = snap[i];
             last_ts = std::max(last_ts, rec.ts_ns);
+            const double wall = std::max(rec.a, 0.0);
+            const double start =
+                std::max(static_cast<double>(rec.ts_ns) - wall, 0.0);
+            std::string args;
             switch (rec.kind) {
             case event_kind::operation: {
-                const double wall = std::max(rec.a, 0.0);
-                const double start =
-                    static_cast<double>(rec.ts_ns) - wall;
-                emit_event(rec.tag, "op", 'X', std::max(start, 0.0), wall,
-                           tid,
-                           with_trace("\"wall_ns\": " + json_number(rec.a) +
-                                          ", \"flops\": " +
-                                          json_number(rec.b),
-                                      rec));
+                const double bytes = unpack_float(extra);
+                arg(args, "wall_ns", rec.a);
+                arg(args, "flops", rec.b);
+                arg(args, "bytes", bytes);
+                arg(args, "gflops", achieved_gflops(rec.b, rec.a));
+                arg(args, "gbps", achieved_gbps(bytes, rec.a));
+                emit_event(rec.tag, "op", 'X', start, wall, tid,
+                           with_trace(args, rec));
                 break;
             }
             case event_kind::binding: {
-                const double wall = std::max(rec.a, 0.0);
-                const double start =
-                    static_cast<double>(rec.ts_ns) - wall;
-                emit_event(rec.tag, "bind", 'X', std::max(start, 0.0), wall,
-                           tid,
-                           with_trace("\"wall_ns\": " + json_number(rec.a) +
-                                          ", \"gil_wait_ns\": " +
-                                          json_number(rec.b),
-                                      rec));
+                // The call slice, then its sequential children.
+                const auto children = binding_breakdown(rec, extra);
+                arg(args, "wall_ns", rec.a);
+                for (const auto& [child, arg_name, dur] : children) {
+                    arg(args, arg_name, dur);
+                }
+                emit_event(rec.tag, "bind", 'X', start, wall, tid,
+                           with_trace(args, rec));
+                double child_ts = start;
+                for (const auto& [child, arg_name, dur] : children) {
+                    if (dur > 0.0) {
+                        emit_event(child, "bind", 'X', child_ts, dur, tid, "");
+                        child_ts += dur;
+                    }
+                }
                 break;
             }
             case event_kind::span_begin:
-                open_spans.push_back(&rec);
+                open_spans.emplace_back(&rec, next_span_id);
+                arg(args, "span", static_cast<double>(next_span_id++));
                 emit_event(rec.tag, "span", 'B',
                            static_cast<double>(rec.ts_ns), 0, tid,
-                           with_trace("", rec));
+                           with_trace(args, rec));
                 break;
             case event_kind::span_end:
                 // An end without a surviving begin means the begin was
                 // overwritten: skip it to keep the track well nested.
                 if (!open_spans.empty() &&
-                    std::strcmp(open_spans.back()->tag, rec.tag) == 0) {
+                    std::strcmp(open_spans.back().first->tag, rec.tag) == 0) {
+                    arg(args, "span",
+                        static_cast<double>(open_spans.back().second));
                     open_spans.pop_back();
                     emit_event(rec.tag, "span", 'E',
-                               static_cast<double>(rec.ts_ns), 0, tid, "");
+                               static_cast<double>(rec.ts_ns), 0, tid, args);
                 }
                 break;
-            default:
+            case event_kind::batch_reason:
+                stop_reasons += (stop_reasons.empty() ? "\"" : ", \"") +
+                                json_escape(rec.tag) +
+                                "\": " + json_number(rec.a);
+                break;
+            default: {
+                const auto [a_name, b_name] = payload_names(rec.kind);
+                if (a_name != nullptr) {
+                    arg(args, a_name, rec.a);
+                }
+                if (b_name != nullptr) {
+                    arg(args, b_name, rec.b);
+                }
+                if (rec.kind == event_kind::batch_iteration) {
+                    arg(args, "active_systems", static_cast<double>(extra));
+                }
+                if (rec.kind == event_kind::batch_stop) {
+                    arg(args, "max_iterations", static_cast<double>(extra));
+                    args += ", \"stop_reasons\": {" + stop_reasons + "}";
+                    stop_reasons.clear();
+                }
                 emit_event(rec.tag, kind_category(rec.kind), 'i',
                            static_cast<double>(rec.ts_ns), 0, tid,
-                           with_trace("\"a\": " + json_number(rec.a) +
-                                          ", \"b\": " + json_number(rec.b),
-                                      rec));
+                           with_trace(args, rec));
                 break;
+            }
             }
         }
         // Close spans still open at the snapshot edge.
         while (!open_spans.empty()) {
-            emit_event(open_spans.back()->tag, "span", 'E',
-                       static_cast<double>(last_ts), 0, tid, "");
+            std::string args;
+            arg(args, "span", static_cast<double>(open_spans.back().second));
+            emit_event(open_spans.back().first->tag, "span", 'E',
+                       static_cast<double>(last_ts), 0, tid, args);
             open_spans.pop_back();
         }
     }
@@ -521,49 +631,50 @@ std::string FlightRecorder::to_chrome_trace_json(
 
 std::string FlightRecorder::to_profile_json() const
 {
-    struct tag_stats {
-        std::uint64_t count{0};
-        double wall_ns{0.0};
-    };
-    std::map<std::string, tag_stats> tags;
-    visit_records([&](const record& rec) {
-        // Instant records already carry qualified tags (mem.alloc,
-        // pool.hit, ...); operations, bindings, and spans carry bare
-        // names and get the profiler's prefix here.
-        std::string tag;
+    // Same tags and sums as MetricsRegistry::to_profile_json(), over the
+    // records the rings still hold.
+    std::map<std::string, profile_stats> tags;
+    visit_records([&](const record& rec, std::uint64_t extra) {
         switch (rec.kind) {
-        case event_kind::operation:
-            tag = std::string{"op."} + rec.tag;
-            break;
-        case event_kind::binding:
-            tag = std::string{"bind."} + rec.tag;
-            break;
-        case event_kind::span_begin:
-        case event_kind::span_end:
-            tag = std::string{"span."} + rec.tag;
-            break;
-        default:
-            tag = rec.tag;
+        case event_kind::operation: {
+            auto& stats = tags[std::string{"op."} + rec.tag];
+            stats.count += 1;
+            stats.wall_ns += rec.a;
+            stats.flops += rec.b;
+            stats.work_bytes += unpack_float(extra);
             break;
         }
-        auto& stats = tags[tag];
-        ++stats.count;
-        if (rec.kind == event_kind::operation ||
-            rec.kind == event_kind::binding) {
+        case event_kind::binding: {
+            auto& stats = tags[std::string{"bind."} + rec.tag];
+            stats.count += 1;
             stats.wall_ns += rec.a;
+            for (const auto& [channel, arg_name, ns] :
+                 binding_breakdown(rec, extra)) {
+                tags[channel].count += 1;
+                tags[channel].wall_ns += ns;
+            }
+            break;
+        }
+        case event_kind::span_begin:
+            tags[std::string{"span."} + rec.tag].count += 1;
+            break;
+        case event_kind::span_end:
+        case event_kind::batch_reason:
+            break;
+        default: {
+            // Instant records already carry qualified tags (mem.alloc,
+            // pool.hit, ...).
+            auto& stats = tags[rec.tag];
+            stats.count += 1;
+            const char* a_name = payload_names(rec.kind).first;
+            if (a_name != nullptr && std::strcmp(a_name, "bytes") == 0) {
+                stats.bytes += rec.a;
+            }
+            break;
+        }
         }
     });
-    std::ostringstream out;
-    out << "{\"tags\": {";
-    bool first = true;
-    for (const auto& [tag, stats] : tags) {
-        out << (first ? "" : ", ") << "\"" << json_escape(tag.c_str())
-            << "\": {\"count\": " << stats.count
-            << ", \"wall_ns\": " << json_number(stats.wall_ns) << "}";
-        first = false;
-    }
-    out << "}}";
-    return out.str();
+    return profile_json(tags);
 }
 
 
@@ -719,9 +830,9 @@ void FlightRecorder::on_pool_trim(const Executor*, size_type bytes_released)
 void FlightRecorder::on_operation_completed(const Executor*,
                                             const char* op_name,
                                             double wall_ns, double flops,
-                                            double)
+                                            double bytes)
 {
-    emit(event_kind::operation, op_name, wall_ns, flops);
+    emit(event_kind::operation, op_name, wall_ns, flops, pack_float(bytes));
 }
 
 void FlightRecorder::on_span_begin(const char* name)
@@ -749,39 +860,72 @@ void FlightRecorder::on_solver_stop(const LinOp*, size_type iterations,
 }
 
 void FlightRecorder::on_batch_iteration_complete(const batch::BatchLinOp*,
-                                                 size_type iteration, size_type,
+                                                 size_type iteration,
+                                                 size_type active_systems,
                                                  double max_residual_norm)
 {
     emit(event_kind::batch_iteration, "batch.iteration",
-         static_cast<double>(iteration), max_residual_norm);
+         static_cast<double>(iteration), max_residual_norm,
+         pack_count(active_systems));
 }
 
-void FlightRecorder::on_batch_solver_stop(const batch::BatchLinOp*,
-                                          size_type num_systems,
-                                          size_type converged_systems,
-                                          size_type,
-                                          const batch::BatchConvergenceLogger*)
+void FlightRecorder::on_batch_solver_stop(
+    const batch::BatchLinOp*, size_type num_systems,
+    size_type converged_systems, size_type max_iterations,
+    const batch::BatchConvergenceLogger* per_system)
 {
+    if (per_system != nullptr) {
+        // One batch_reason record per distinct stop reason, counting its
+        // systems, ahead of the stop record the trace view folds them
+        // into.
+        std::map<std::string, size_type> reasons;
+        for (size_type s = 0; s < per_system->num_systems(); ++s) {
+            ++reasons[per_system->stop_reason(s)];
+        }
+        for (const auto& [reason, systems] : reasons) {
+            emit(event_kind::batch_reason, reason.c_str(),
+                 static_cast<double>(systems), 0);
+        }
+    }
     emit(event_kind::batch_stop, "batch.stop",
          static_cast<double>(converged_systems),
-         static_cast<double>(num_systems));
+         static_cast<double>(num_systems), pack_count(max_iterations));
 }
 
 void FlightRecorder::on_binding_call_completed(const char* name,
                                                double wall_ns,
-                                               double gil_wait_ns, double,
-                                               double, double)
+                                               double gil_wait_ns,
+                                               double lookup_ns,
+                                               double boxing_ns, double)
 {
-    emit(event_kind::binding, name, wall_ns, gil_wait_ns);
+    // The interpreter frame is the process constant the views re-read.
+    emit(event_kind::binding, name, wall_ns, gil_wait_ns,
+         pack_f20(lookup_ns) | (pack_f20(boxing_ns) << 20));
 }
 
 
 // --- process-wide instance and crash hook ----------------------------------
 
+namespace {
+
+bool trace_requested()
+{
+    const char* value = std::getenv("MGKO_TRACE");
+    return value != nullptr && *value != '\0';
+}
+
+}  // namespace
+
+
 std::shared_ptr<FlightRecorder> shared_flight_recorder()
 {
     static std::shared_ptr<FlightRecorder> recorder = [] {
+        // A traced run keeps its whole timeline: 2^20 records (40 MiB)
+        // per instrumented thread instead of the black box's 4096.
         size_type capacity = FlightRecorder::default_capacity;
+        if (trace_requested()) {
+            capacity *= 256;
+        }
         if (const char* value = std::getenv("MGKO_FLIGHT_CAPACITY")) {
             const long parsed = std::strtol(value, nullptr, 10);
             if (parsed > 1) {
@@ -797,12 +941,34 @@ std::shared_ptr<FlightRecorder> shared_flight_recorder()
 std::shared_ptr<FlightRecorder> flight_recorder_from_env()
 {
     const char* value = std::getenv("MGKO_FLIGHT_RECORDER");
-    if (value != nullptr &&
+    if (value != nullptr && !trace_requested() &&
         (std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
          std::strcmp(value, "OFF") == 0)) {
         return nullptr;
     }
     return shared_flight_recorder();
+}
+
+
+void dump_trace(const FlightRecorder& recorder, const std::string& name)
+{
+    if (!trace_requested()) {
+        return;
+    }
+    const std::string dest{std::getenv("MGKO_TRACE")};
+    const auto json = recorder.to_chrome_trace_json();
+    if (dump_to_stdout(dest)) {
+        std::cout << "=== mgko trace [" << name << "] ===\n"
+                  << json << std::endl;
+        return;
+    }
+    const auto path = resolve_dump_path(dest, "trace", name, ".json");
+    std::ofstream out{path};
+    if (out) {
+        out << json << "\n";
+    } else {
+        std::cerr << "mgko: cannot write trace to '" << path << "'\n";
+    }
 }
 
 

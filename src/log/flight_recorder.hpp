@@ -1,11 +1,9 @@
-// Flight recorder — the always-on third observability tier.
+// Flight recorder — the timeline sink.
 //
-// Where ProfilerLogger aggregates and TraceLogger keeps an unbounded
-// timeline (both opt-in, both taking a lock per event), FlightRecorder is
-// built to stay attached in production: every event becomes one 40-byte
-// binary record in a lock-free per-thread ring buffer, so steady state
-// costs a few relaxed atomic stores and never allocates, locks, or copies
-// a string.  The ring keeps the last `capacity_per_thread` events per
+// Every event becomes one 40-byte binary record in a lock-free per-thread
+// ring buffer, so steady state costs a few relaxed atomic stores and never
+// allocates, locks, or copies a string; that is what lets it stay attached
+// in production.  The ring keeps the last `capacity_per_thread` events per
 // thread — a black box, not an archive.
 //
 //   * Tag interning: event names (operation tags, span names, binding
@@ -16,12 +14,14 @@
 //     or long-lived cache entries, but the recorder does not rely on it).
 //   * Snapshots: snapshot() reads the rings concurrently with writers
 //     using an over-read + sequence-window discard, so a scrape never
-//     stops the instrumented threads.  to_chrome_trace_json() converts a
-//     snapshot to the same Chrome Trace Event JSON shape TraceLogger
-//     emits (operations and binding calls as complete 'X' slices, spans
-//     as 'B'/'E' pairs repaired to stay well nested across wraparound,
-//     everything else as 'i' instants); to_profile_json() aggregates to
-//     the ProfilerLogger {"tags": ...} schema.
+//     stops the instrumented threads.
+//   * Views: to_chrome_trace_json() is the Chrome Trace Event document
+//     (kernels and bound calls as complete 'X' slices with their work and
+//     overhead breakdown, spans as 'B'/'E' pairs repaired to stay well
+//     nested across wraparound, everything else as 'i' instants);
+//     to_profile_json() aggregates the same records per tag into the
+//     profile schema of log/metrics.hpp; write_postmortem() is the
+//     crash-time text dump.
 //   * Crash hook: install_crash_handler() registers SIGSEGV/SIGABRT and
 //     std::terminate handlers that dump the last events as text through
 //     write_postmortem(), which is async-signal-safe (write(2) only, no
@@ -29,8 +29,11 @@
 //
 // The executor factories and the binding layer attach the process-wide
 // instance behind shared_flight_recorder() unconditionally (opt out with
-// MGKO_FLIGHT_RECORDER=0); bench_micro_overhead measures the cost of
-// leaving it on and CI fails if it exceeds the 5% budget (DESIGN.md §13).
+// MGKO_FLIGHT_RECORDER=0).  MGKO_TRACE=<dest> keeps it attached even then,
+// sizes its rings so a bench run does not wrap, and names where
+// dump_trace() writes the trace.  bench_micro_overhead measures the cost
+// of leaving it on and CI fails if it exceeds the 5% budget (DESIGN.md
+// §13).
 #pragma once
 
 #include <array>
@@ -61,6 +64,10 @@ public:
     /// tag_id of records whose name did not fit the intern table.
     static constexpr std::uint16_t overflow_tag = 0xFFFF;
 
+    /// Payloads per kind.  Details only the trace view shows (an
+    /// operation's bytes, a bound call's lookup/boxing times, a batch's
+    /// active systems or iteration count) ride in the record's spare
+    /// header bits and do not appear in `record`.
     enum class event_kind : std::uint8_t {
         operation = 0,   // a = wall_ns, b = flops
         alloc,           // a = bytes
@@ -76,6 +83,7 @@ public:
         batch_iteration, // a = iteration, b = max_residual_norm
         batch_stop,      // a = converged_systems, b = num_systems
         binding,         // a = wall_ns, b = gil_wait_ns
+        batch_reason,    // a = systems that stopped for the reason in tag
     };
 
     /// Decoded ring entry, oldest first within a thread.
@@ -117,17 +125,21 @@ public:
     /// (and counted in dropped()).
     std::vector<record> snapshot() const;
 
-    /// Chrome Trace Event JSON of snapshot() — same document shape as
-    /// TraceLogger::to_json(), loadable in Perfetto / chrome://tracing,
-    /// with B/E span events repaired to stay well nested even when the
-    /// ring wrapped mid-span.  A nonzero `trace_filter` keeps only the
+    /// Chrome Trace Event JSON of snapshot(), loadable in Perfetto /
+    /// chrome://tracing: kernels are 'X' slices under cat "op" named by
+    /// the bare tag with wall_ns/flops/bytes/gflops/gbps args; bound calls
+    /// are 'X' slices under cat "bind" with bind.gil_wait / bind.lookup /
+    /// bind.boxing / bind.interpreter children; spans are 'B'/'E' pairs
+    /// carrying a "span" id, repaired to stay well nested even when the
+    /// ring wrapped mid-span; the batch.stop instant carries its
+    /// "stop_reasons" histogram.  A nonzero `trace_filter` keeps only the
     /// records stamped with that trace word (the low 64 bits of a request
     /// trace id), which is what /trace.json?trace_id=<id> serves; events
     /// with a trace word carry it as a "trace_id" arg either way.
     std::string to_chrome_trace_json(std::uint64_t trace_filter = 0) const;
 
-    /// snapshot() aggregated per tag to ProfilerLogger's JSON schema:
-    /// {"tags": {tag: {"count": n, "wall_ns": w}}}.
+    /// snapshot() aggregated per tag into the profile schema
+    /// (log::profile_json) — the recent-window view /profile.json serves.
     std::string to_profile_json() const;
 
     /// Async-signal-safe text dump of the rings to an open descriptor:
@@ -195,7 +207,8 @@ private:
         std::unique_ptr<std::atomic<std::uint64_t>[]> words;
     };
 
-    void emit(event_kind kind, const char* tag, double a, double b);
+    void emit(event_kind kind, const char* tag, double a, double b,
+              std::uint64_t extra = 0);
     ring* thread_ring();
     template <typename Visitor>
     void visit_records(Visitor&& visit) const;
@@ -213,14 +226,21 @@ private:
 };
 
 
-/// The process-wide always-on recorder the executor factories and the
-/// binding layer attach (capacity overridable once via
-/// MGKO_FLIGHT_CAPACITY).
+/// The process-wide recorder the executor factories and the binding layer
+/// attach.  Its per-thread capacity is default_capacity, raised 256-fold
+/// when MGKO_TRACE is set so a traced bench run keeps every event;
+/// MGKO_FLIGHT_CAPACITY overrides either (read once, at first use).
 std::shared_ptr<FlightRecorder> shared_flight_recorder();
 
 /// shared_flight_recorder(), or nullptr when the user opted out with
-/// MGKO_FLIGHT_RECORDER=0/off.
+/// MGKO_FLIGHT_RECORDER=0/off and did not ask for a trace (MGKO_TRACE).
 std::shared_ptr<FlightRecorder> flight_recorder_from_env();
+
+/// Writes `recorder`'s Chrome Trace JSON where MGKO_TRACE points: "-",
+/// "1" or "stdout" print it under a "=== mgko trace [<name>] ===" banner;
+/// a directory or path prefix derives a per-run file name from `name`
+/// (see log/dump_path.hpp).  No-op when MGKO_TRACE is unset.
+void dump_trace(const FlightRecorder& recorder, const std::string& name);
 
 /// Registers SIGSEGV/SIGABRT and std::terminate handlers that write the
 /// shared recorder's black box to `path` before the process dies, then

@@ -6,10 +6,12 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <tuple>
 
 #include "batch/batch_log.hpp"
 #include "log/dump_path.hpp"
 #include "log/trace_context.hpp"
+#include "log/work_model.hpp"
 
 namespace mgko::log {
 
@@ -289,7 +291,7 @@ std::string MetricsRegistry::to_json() const
             first_family = false;
             bool first_tag = true;
             for (const auto& [tag, value] : tags) {
-                out << (first_tag ? "" : ", ") << "\"" << tag
+                out << (first_tag ? "" : ", ") << "\"" << json_escape(tag)
                     << "\": " << format_value(value);
                 first_tag = false;
             }
@@ -308,7 +310,7 @@ std::string MetricsRegistry::to_json() const
         first_family = false;
         bool first_tag = true;
         for (const auto& [tag, h] : tags) {
-            out << (first_tag ? "" : ", ") << "\"" << tag
+            out << (first_tag ? "" : ", ") << "\"" << json_escape(tag)
                 << "\": {\"count\": " << h.count
                 << ", \"sum\": " << format_value(h.sum)
                 << ", \"p50\": " << format_value(h.quantile(0.5))
@@ -334,12 +336,85 @@ std::string MetricsRegistry::to_json() const
 }
 
 
+std::string MetricsRegistry::to_profile_json() const
+{
+    std::lock_guard<std::mutex> guard{mutex_};
+    std::map<std::string, profile_stats> tags;
+    auto for_each = [&](const std::string& name, auto&& fn) {
+        if (auto family = counters_.find(name); family != counters_.end()) {
+            for (const auto& [tag, value] : family->second) {
+                fn(tags[tag], value);
+            }
+        }
+    };
+    double bound_calls = 0.0;
+    if (auto events = counters_.find("mgko_events_total");
+        events != counters_.end()) {
+        for (const auto& [tag, value] : events->second) {
+            tags[tag].count = value;
+            if (tag.rfind("bind.", 0) == 0) {
+                bound_calls += value;
+            }
+        }
+    }
+    for_each("mgko_bytes_total",
+             [](profile_stats& s, double v) { s.bytes = v; });
+    for_each("mgko_flops_total",
+             [](profile_stats& s, double v) { s.flops = v; });
+    for_each("mgko_work_bytes_total",
+             [](profile_stats& s, double v) { s.work_bytes = v; });
+    // The breakdown channels accumulate once per bound call.
+    for_each("mgko_binding_overhead_ns_total",
+             [&](profile_stats& s, double v) {
+                 s.count = bound_calls;
+                 s.wall_ns = v;
+             });
+    if (auto latency = histograms_.find("mgko_latency_ns");
+        latency != histograms_.end()) {
+        for (const auto& [tag, h] : latency->second) {
+            tags[tag].wall_ns = h.sum;
+        }
+    }
+    return profile_json(tags);
+}
+
+
 void MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> guard{mutex_};
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
+}
+
+
+// --- profile view ------------------------------------------------------------
+
+std::string profile_json(const std::map<std::string, profile_stats>& tags)
+{
+    auto number = [](double value) {
+        std::ostringstream out;
+        out.precision(15);
+        out << (std::isfinite(value) ? value : 0.0);
+        return out.str();
+    };
+    std::ostringstream out;
+    out << "{\"tags\": {";
+    bool first = true;
+    for (const auto& [tag, s] : tags) {
+        out << (first ? "" : ", ") << "\"" << json_escape(tag)
+            << "\": {\"count\": " << number(s.count)
+            << ", \"wall_ns\": " << number(s.wall_ns)
+            << ", \"bytes\": " << number(s.bytes)
+            << ", \"flops\": " << number(s.flops)
+            << ", \"work_bytes\": " << number(s.work_bytes)
+            << ", \"gflops\": " << number(achieved_gflops(s.flops, s.wall_ns))
+            << ", \"gbps\": "
+            << number(achieved_gbps(s.work_bytes, s.wall_ns)) << "}";
+        first = false;
+    }
+    out << "}}";
+    return out.str();
 }
 
 
@@ -508,17 +583,23 @@ void dump_metrics(const MetricsLogger& metrics, const std::string& name)
         return;
     }
     const std::string dest{value};
-    const auto text = metrics.registry().prometheus_text();
-    if (dump_to_stdout(dest)) {
-        std::cout << "=== mgko metrics [" << name << "] ===\n" << text;
-        return;
-    }
-    const auto path = resolve_dump_path(dest, "metrics", name, ".txt");
-    std::ofstream out{path};
-    if (out) {
-        out << text;
-    } else {
-        std::cerr << "mgko: cannot write metrics to '" << path << "'\n";
+    const auto& registry = metrics.registry();
+    for (const auto& [kind, ext, text] :
+         {std::tuple{"metrics", ".txt", registry.prometheus_text()},
+          std::tuple{"profile", ".json", registry.to_profile_json() + "\n"}}) {
+        if (dump_to_stdout(dest)) {
+            std::cout << "=== mgko " << kind << " [" << name << "] ===\n"
+                      << text;
+            continue;
+        }
+        const auto path = resolve_dump_path(dest, kind, name, ext);
+        std::ofstream out{path};
+        if (out) {
+            out << text;
+        } else {
+            std::cerr << "mgko: cannot write " << kind << " to '" << path
+                      << "'\n";
+        }
     }
 }
 

@@ -1,20 +1,23 @@
-// Metrics registry: the cumulative counterpart to the trace tier.  Where
-// TraceLogger keeps the full timeline, MetricsRegistry keeps running
-// counters, gauges, and log2-bucketed latency histograms keyed by the
-// existing tag scheme (op.<name>, mem.*, pool.*, solver.*, batch.*,
-// bind.*), cheap enough to stay attached for a process lifetime and
-// scrapeable at any point.
+// Metrics registry: the cumulative sink.  Where FlightRecorder keeps the
+// recent timeline, MetricsRegistry keeps running counters, gauges, and
+// log2-bucketed latency histograms keyed by the tag scheme (op.<name>,
+// mem.*, pool.*, span.*, solver.*, batch.*, bind.*), cheap enough to stay
+// attached for a process lifetime and scrapeable at any point.
 //
-// Exporters:
-//   * prometheus_text() — Prometheus text exposition format, tags carried
+// Views of one registry:
+//   * prometheus_text()  — Prometheus text exposition format, tags carried
 //     as a `tag` label (mgko_events_total{tag="op.csr_spmv"} 42),
-//   * to_json()         — the same data as a JSON object parseable by
-//     config/json.hpp.
+//   * to_json()          — the same data as a JSON object parseable by
+//     config/json.hpp,
+//   * to_profile_json()  — the per-tag profile {"tags": {tag: {count,
+//     wall_ns, bytes, flops, work_bytes, gflops, gbps}}}, the roofline
+//     view the benches dump.
 //
 // MetricsLogger adapts the EventLogger hook stream onto a registry; the
 // process-wide instance behind shared_metrics() is what the MGKO_METRICS
-// environment switch auto-attaches and the `metrics_text` / `metrics_json`
-// bindings export.
+// environment switch auto-attaches and dumps (Prometheus text plus the
+// profile view), and what the `metrics_text` / `metrics_json` bindings
+// export.
 #pragma once
 
 #include <array>
@@ -110,6 +113,14 @@ public:
     /// "buckets": {"<le>": c, ...}}}}} — parseable by config/json.hpp.
     std::string to_json() const;
 
+    /// The profile view (see profile_json()) of the families MetricsLogger
+    /// feeds: count from mgko_events_total, wall_ns from the
+    /// mgko_latency_ns sum (and mgko_binding_overhead_ns_total for the
+    /// bind.gil_wait / lookup / boxing / interpreter channels, counted
+    /// once per bound call), bytes from mgko_bytes_total, flops and
+    /// work_bytes from mgko_flops_total and mgko_work_bytes_total.
+    std::string to_profile_json() const;
+
     void reset();
 
 private:
@@ -120,6 +131,26 @@ private:
     std::map<std::string, tag_map> gauges_;
     std::map<std::string, std::map<std::string, histogram>> histograms_;
 };
+
+
+/// One tag's row of a profile view.
+struct profile_stats {
+    double count{0.0};
+    double wall_ns{0.0};
+    /// Bytes allocated, moved, or pooled (mem.*, pool.* tags).
+    double bytes{0.0};
+    /// Work the tag's kernels reported through the cost-model profiles
+    /// (log/work_model.hpp); zero outside op.* tags.
+    double flops{0.0};
+    double work_bytes{0.0};
+};
+
+/// The profile schema, written here and nowhere else:
+/// {"tags": {tag: {"count": n, "wall_ns": w, "bytes": b, "flops": f,
+/// "work_bytes": m, "gflops": g, "gbps": s}}} with g and s the achieved
+/// rates over wall_ns.  Both MetricsRegistry::to_profile_json() and
+/// FlightRecorder::to_profile_json() render through it.
+std::string profile_json(const std::map<std::string, profile_stats>& tags);
 
 
 /// EventLogger that feeds a MetricsRegistry:
@@ -187,9 +218,10 @@ std::shared_ptr<MetricsLogger> shared_metrics();
 /// attach the result to every new executor.
 std::shared_ptr<MetricsLogger> metrics_from_env();
 
-/// Writes the registry's Prometheus text where MGKO_METRICS points: "-",
-/// "1" or "stdout" print it under a banner; a directory or path prefix
-/// derives a per-run file name from `name` (see log/dump_path.hpp).
+/// Writes the registry's Prometheus text (kind "metrics", .txt) and its
+/// profile view (kind "profile", .json) where MGKO_METRICS points: "-",
+/// "1" or "stdout" print both under banners; a directory or path prefix
+/// derives per-run file names from `name` (see log/dump_path.hpp).
 void dump_metrics(const MetricsLogger& metrics, const std::string& name);
 
 

@@ -12,6 +12,8 @@
 #include <sstream>
 #include <vector>
 
+#include "log/dump_path.hpp"
+
 namespace mgko::log {
 
 namespace {
@@ -314,22 +316,6 @@ std::string frame_text(std::uint16_t id)
         }
     }
     return out.empty() ? std::string{"_"} : out;
-}
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
 }
 
 void sampling_from_env_impl()

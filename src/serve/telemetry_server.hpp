@@ -11,7 +11,7 @@
 //                          empty) and the measured tier's mgko_hw_* /
 //                          mgko_sampling_* series
 //   GET /profile.json      flight-recorder snapshot aggregated per tag
-//                          (ProfilerLogger's {"tags": ...} schema)
+//                          (the {"tags": ...} profile schema)
 //   GET /profile_cpu.json  sampling-profiler aggregate, pprof-like JSON
 //                          (log/sampling_profiler.hpp)
 //   GET /flamegraph.txt    the same samples as folded stacks, one

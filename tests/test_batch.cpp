@@ -17,7 +17,7 @@
 #include "bindings/registry.hpp"
 #include "config/config_solver.hpp"
 #include "core/half.hpp"
-#include "log/profiler.hpp"
+#include "log/flight_recorder.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "solver/bicgstab.hpp"
@@ -602,22 +602,36 @@ TEST(BatchEvents, IterationAndStopEventsReachLoggers)
                       .with_criteria(stop::residual_norm(1e-8))
                       .on(exec)
                       ->generate(std::move(mat));
-    auto rec = log::RecordLogger::create();
+    auto rec = log::FlightRecorder::create(4096);
     solver->add_logger(rec);
     solver->apply(b.get(), x.get());
 
+    using Kind = log::FlightRecorder::event_kind;
     const auto log = as_iterative(solver.get())->get_batch_logger();
-    EXPECT_EQ(rec->count("batch_iteration"), log->max_iterations());
-    EXPECT_EQ(rec->count("batch_solver_stop"), 1);
-    size_type last_active = num;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "batch_iteration") {
+    size_type iterations = 0;
+    size_type stops = 0;
+    for (const auto& r : rec->snapshot()) {
+        iterations += r.kind == Kind::batch_iteration;
+        stops += r.kind == Kind::batch_stop;
+    }
+    EXPECT_EQ(iterations, log->max_iterations());
+    EXPECT_EQ(stops, 1);
+    // The trace view carries the per-event payloads.
+    const auto trace = config::Json::parse(rec->to_chrome_trace_json());
+    double last_active = static_cast<double>(num);
+    for (const auto& ev : trace.at("traceEvents").elements()) {
+        const auto& name = ev.at("name").as_string();
+        if (name == "batch.iteration") {
             // The active population only shrinks as systems retire.
-            EXPECT_LE(r.bytes, last_active);
-            last_active = r.bytes;
-        } else if (r.kind == "batch_solver_stop") {
-            EXPECT_EQ(r.bytes, num);  // converged count
-            EXPECT_EQ(r.name, std::to_string(log->max_iterations()));
+            const auto active =
+                ev.at("args").at("active_systems").as_double();
+            EXPECT_LE(active, last_active);
+            last_active = active;
+        } else if (name == "batch.stop") {
+            const auto& args = ev.at("args");
+            EXPECT_EQ(args.at("converged_systems").as_int(), num);
+            EXPECT_EQ(args.at("max_iterations").as_int(),
+                      log->max_iterations());
         }
     }
 }

@@ -651,6 +651,23 @@ TEST(MtxIo, RejectsMalformedInput)
         "1 1 1.0\n"};
     EXPECT_THROW(read_mtx(truncated), FileError);
     EXPECT_THROW(read_mtx("/nonexistent/path.mtx"), FileError);
+    // Headers that declare more than the body holds fail on the missing
+    // data, never on an allocation sized from the header.
+    std::istringstream huge_nnz{
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 100000000000\n"
+        "1 1 1.0\n"};
+    EXPECT_THROW(read_mtx(huge_nnz), FileError);
+    std::istringstream huge_array{
+        "%%MatrixMarket matrix array real general\n"
+        "200000 200000\n"
+        "1.0\n"};
+    EXPECT_THROW(read_mtx(huge_array), FileError);
+    std::istringstream overflowing_array{
+        "%%MatrixMarket matrix array real general\n"
+        "3037000500 3037000500\n"
+        "1.0\n"};
+    EXPECT_THROW(read_mtx(overflowing_array), FileError);
 }
 
 TEST(MtxIo, ToleratesWindowsLineEndings)

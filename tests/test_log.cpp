@@ -1,15 +1,19 @@
 // The event-logging subsystem: EventLogger attachment at the executor,
-// solver, and binding layers, ProfilerLogger aggregation + JSON export,
-// RecordLogger capture, ConvergenceLogger edge cases, the
-// zero-overhead-when-detached guarantee, and the tracing/metrics tier
-// (TraceLogger span nesting + Chrome JSON export, MetricsRegistry
-// exposition, roofline work accounting, batch stop-reason export).
+// solver, and binding layers (observed through private FlightRecorder
+// instances), ConvergenceLogger edge cases, the zero-overhead-when-detached
+// guarantee, and the two sinks' derived views: the recorder's Chrome trace
+// (span nesting, kernel and binding slices, MGKO_TRACE) and the
+// registry's Prometheus text and profile (roofline work accounting, batch
+// stop-reason export).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <thread>
@@ -26,10 +30,9 @@
 #include "config/json.hpp"
 #include "core/executor.hpp"
 #include "log/dump_path.hpp"
+#include "log/flight_recorder.hpp"
 #include "log/logger.hpp"
 #include "log/metrics.hpp"
-#include "log/profiler.hpp"
-#include "log/trace.hpp"
 #include "log/trace_context.hpp"
 #include "log/work_model.hpp"
 #include "matrix/csr.hpp"
@@ -55,6 +58,51 @@ using namespace mgko;
 
 using Mtx = Csr<double, int32>;
 using Vec = Dense<double>;
+using Recorder = log::FlightRecorder;
+using Kind = Recorder::event_kind;
+
+
+/// Records of `kind` the recorder holds.
+size_type count(const Recorder& rec, Kind kind)
+{
+    size_type n = 0;
+    for (const auto& r : rec.snapshot()) {
+        n += r.kind == kind;
+    }
+    return n;
+}
+
+/// The "tags" object of a profile view.
+config::Json profile_tags(const std::string& profile_json)
+{
+    return config::Json::parse(profile_json).at("tags");
+}
+
+/// Replays the begin/end events of a parsed Chrome trace and checks each
+/// 'E' closes the innermost open 'B' of the same name on its thread track.
+bool parsed_trace_well_nested(const config::Json& trace)
+{
+    std::map<std::int64_t, std::vector<std::string>> stacks;
+    for (const auto& ev : trace.at("traceEvents").elements()) {
+        const auto& ph = ev.at("ph").as_string();
+        const auto tid = ev.at("tid").as_int();
+        if (ph == "B") {
+            stacks[tid].push_back(ev.at("name").as_string());
+        } else if (ph == "E") {
+            auto& stack = stacks[tid];
+            if (stack.empty() || stack.back() != ev.at("name").as_string()) {
+                return false;
+            }
+            stack.pop_back();
+        }
+    }
+    for (const auto& [tid, stack] : stacks) {
+        if (!stack.empty()) {
+            return false;
+        }
+    }
+    return true;
+}
 
 
 // --- ConvergenceLogger edge cases ---------------------------------------
@@ -105,21 +153,21 @@ TEST(EventLogger, AddAndRemoveOnExecutor)
     // bookkeeping assertions are relative to that baseline.
     auto exec = ReferenceExecutor::create();
     const auto baseline = exec->get_loggers().size();
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(256);
     exec->add_logger(rec);
     EXPECT_TRUE(exec->has_loggers());
     EXPECT_EQ(exec->get_loggers().size(), baseline + 1);
 
     void* p = exec->alloc_bytes(256);
     exec->free_bytes(p);
-    EXPECT_EQ(rec->count("allocation"), 1);
-    EXPECT_EQ(rec->count("free"), 1);
+    EXPECT_EQ(count(*rec, Kind::alloc), 1);
+    EXPECT_EQ(count(*rec, Kind::free_mem), 1);
 
     exec->remove_logger(rec.get());
     EXPECT_EQ(exec->get_loggers().size(), baseline);
     void* q = exec->alloc_bytes(256);
     exec->free_bytes(q);
-    EXPECT_EQ(rec->count("allocation"), 1);  // detached: no new events
+    EXPECT_EQ(count(*rec, Kind::alloc), 1);  // detached: no new events
 }
 
 
@@ -128,26 +176,26 @@ TEST(EventLogger, AddAndRemoveOnExecutor)
 TEST(EventLogger, ExecutorEmitsAllocationPoolAndCopyEvents)
 {
     auto exec = ReferenceExecutor::create();
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(256);
     exec->add_logger(rec);
 
     void* p = exec->alloc_bytes(1000);
-    EXPECT_EQ(rec->count("pool_miss"), 1);
+    EXPECT_EQ(count(*rec, Kind::pool_miss), 1);
     exec->free_bytes(p);
     void* q = exec->alloc_bytes(990);  // same size class: served from cache
-    EXPECT_EQ(rec->count("pool_hit"), 1);
-    EXPECT_EQ(rec->count("allocation"), 2);
+    EXPECT_EQ(count(*rec, Kind::pool_hit), 1);
+    EXPECT_EQ(count(*rec, Kind::alloc), 2);
     exec->free_bytes(q);
-    EXPECT_EQ(rec->count("free"), 2);
+    EXPECT_EQ(count(*rec, Kind::free_mem), 2);
 
     exec->trim_pool();
-    EXPECT_EQ(rec->count("pool_trim"), 1);
+    EXPECT_EQ(count(*rec, Kind::pool_trim), 1);
 
     // Copy: device-to-device through copy_to.
     auto src = Vec::create_filled(exec, dim2{16, 1}, 1.0);
     auto dst = Vec::create(exec, dim2{16, 1});
     dst->copy_from(src.get());
-    EXPECT_GE(rec->count("copy"), 1);
+    EXPECT_GE(count(*rec, Kind::copy), 1);
 
     exec->remove_logger(rec.get());
 }
@@ -161,21 +209,19 @@ TEST(EventLogger, ExecutorEmitsOperationEventsWithKernelTags)
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create(exec, dim2{n, 1});
 
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(256);
     exec->add_logger(rec);
     a->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
 
     bool saw_spmv = false;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "operation_completed" && r.name == "csr_spmv") {
+    for (const auto& r : rec->snapshot()) {
+        if (r.kind == Kind::operation && std::string{r.tag} == "csr_spmv") {
             saw_spmv = true;
-            EXPECT_GE(r.value, 0.0);
+            EXPECT_GE(r.a, 0.0);  // wall time
         }
     }
     EXPECT_TRUE(saw_spmv);
-    EXPECT_EQ(rec->count("operation_launched"),
-              rec->count("operation_completed"));
 }
 
 
@@ -192,7 +238,7 @@ TEST(EventLogger, SolverEmitsIterationAndStopEvents)
                       .with_criteria(stop::residual_norm(1e-10))
                       .on(exec)
                       ->generate(a);
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(1024);
     // Attached to the solver LinOp, not the executor.
     solver->add_logger(rec);
 
@@ -202,15 +248,15 @@ TEST(EventLogger, SolverEmitsIterationAndStopEvents)
 
     auto conv =
         dynamic_cast<solver::Cg<double>*>(solver.get())->get_logger();
-    EXPECT_EQ(rec->count("iteration"),
+    EXPECT_EQ(count(*rec, Kind::iteration),
               static_cast<size_type>(conv->residual_history().size()));
-    EXPECT_EQ(rec->count("solver_stop"), 1);
+    EXPECT_EQ(count(*rec, Kind::solver_stop), 1);
     // Iteration events carry the residual norm of the matching history
     // entry.
     std::vector<double> seen;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "iteration") {
-            seen.push_back(r.value);
+    for (const auto& r : rec->snapshot()) {
+        if (r.kind == Kind::iteration) {
+            seen.push_back(r.b);
         }
     }
     ASSERT_EQ(seen.size(), conv->residual_history().size());
@@ -230,7 +276,7 @@ TEST(EventLogger, ExecutorAttachedLoggerAlsoSeesSolverEvents)
                       .with_criteria(stop::residual_norm(1e-10))
                       .on(exec)
                       ->generate(a);
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(4096);
     exec->add_logger(rec);
 
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
@@ -238,14 +284,14 @@ TEST(EventLogger, ExecutorAttachedLoggerAlsoSeesSolverEvents)
     solver->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
 
-    EXPECT_GT(rec->count("iteration"), 0);
-    EXPECT_EQ(rec->count("solver_stop"), 1);
+    EXPECT_GT(count(*rec, Kind::iteration), 0);
+    EXPECT_EQ(count(*rec, Kind::solver_stop), 1);
 }
 
 
-// --- ProfilerLogger -----------------------------------------------------
+// --- the registry's profile view ------------------------------------------
 
-TEST(ProfilerLogger, CgSolveAttributesTimeToKernelTags)
+TEST(ProfileView, CgSolveAttributesTimeToKernelTags)
 {
     auto exec = ReferenceExecutor::create();
     const size_type n = 48;
@@ -259,43 +305,41 @@ TEST(ProfilerLogger, CgSolveAttributesTimeToKernelTags)
                               exec))
                       .on(exec)
                       ->generate(a);
-    auto prof = log::ProfilerLogger::create();
-    exec->add_logger(prof);
+    auto metrics = log::MetricsLogger::create();
+    exec->add_logger(metrics);
 
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
     solver->apply(b.get(), x.get());
-    exec->remove_logger(prof.get());
+    exec->remove_logger(metrics.get());
 
     // The acceptance shape: spmv / dot / axpy / precond tags plus the
     // solver iteration stream.
+    const auto tags = profile_tags(metrics->registry().to_profile_json());
     for (const char* tag : {"op.csr_spmv", "op.dense_dot",
                             "op.dense_add_scaled", "op.jacobi_apply",
                             "solver.iteration"}) {
-        const auto stats = prof->stats(tag);
-        EXPECT_GT(stats.count, 0) << tag;
+        ASSERT_TRUE(tags.contains(tag)) << tag;
+        EXPECT_GT(tags.at(tag).at("count").as_int(), 0) << tag;
     }
-    EXPECT_GE(prof->stats("op.csr_spmv").wall_ns, 0.0);
-    EXPECT_EQ(prof->stats("solver.stop").count, 1);
-
-    // The JSON export parses and carries the same counts.
-    auto json = config::Json::parse(prof->to_json());
-    ASSERT_TRUE(json.contains("tags"));
-    const auto& tags = json.at("tags");
-    ASSERT_TRUE(tags.contains("op.csr_spmv"));
-    EXPECT_EQ(tags.at("op.csr_spmv").at("count").as_int(),
-              prof->stats("op.csr_spmv").count);
+    EXPECT_GE(tags.at("op.csr_spmv").at("wall_ns").as_double(), 0.0);
+    EXPECT_EQ(tags.at("solver.stop").at("count").as_int(), 1);
+    // The view carries the registry's counts verbatim.
+    EXPECT_EQ(tags.at("op.csr_spmv").at("count").as_double(),
+              metrics->registry().counter_value("mgko_events_total",
+                                                "op.csr_spmv"));
 }
 
-TEST(ProfilerLogger, ResetClearsTheSummary)
+TEST(ProfileView, ResetClearsTheSummary)
 {
-    auto prof = log::ProfilerLogger::create();
-    prof->on_pool_hit(nullptr, 128);
-    EXPECT_EQ(prof->stats("pool.hit").count, 1);
-    EXPECT_EQ(prof->stats("pool.hit").bytes, 128);
-    prof->reset();
-    EXPECT_EQ(prof->stats("pool.hit").count, 0);
-    EXPECT_TRUE(prof->summary().empty());
+    auto metrics = log::MetricsLogger::create();
+    metrics->on_pool_hit(nullptr, 128);
+    auto tags = profile_tags(metrics->registry().to_profile_json());
+    EXPECT_EQ(tags.at("pool.hit").at("count").as_int(), 1);
+    EXPECT_EQ(tags.at("pool.hit").at("bytes").as_int(), 128);
+    metrics->registry().reset();
+    tags = profile_tags(metrics->registry().to_profile_json());
+    EXPECT_TRUE(tags.items().empty());
 }
 
 
@@ -305,40 +349,40 @@ TEST(EventLogger, BindingCallsEmitOverheadBreakdown)
 {
     auto dev = bind::device("reference");
     ASSERT_TRUE(dev.valid());
-    auto prof = log::ProfilerLogger::create();
-    bind::add_logger(prof);
+    auto metrics = log::MetricsLogger::create();
+    bind::add_logger(metrics);
 
     auto t = bind::as_tensor(dev, dim2{32, 1}, "double", 2.0);
     const double nrm = t.norm();
     EXPECT_GT(nrm, 0.0);
-    bind::remove_logger(prof.get());
+    bind::remove_logger(metrics.get());
 
-    const auto summary = prof->summary();
+    const auto tags = profile_tags(metrics->registry().to_profile_json());
     // At least one bound call was recorded under its mangled name...
     bool saw_named_call = false;
-    for (const auto& [tag, stats] : summary) {
+    for (const auto& [tag, stats] : tags.items()) {
         if (tag.rfind("bind.", 0) == 0 && tag != "bind.gil_wait" &&
             tag != "bind.lookup" && tag != "bind.boxing" &&
             tag != "bind.interpreter") {
             saw_named_call = true;
-            EXPECT_GT(stats.count, 0);
-            EXPECT_GT(stats.wall_ns, 0.0);
+            EXPECT_GT(stats.at("count").as_int(), 0);
+            EXPECT_GT(stats.at("wall_ns").as_double(), 0.0);
         }
     }
     EXPECT_TRUE(saw_named_call);
     // ...with the gil/lookup/boxing/interpreter breakdown alongside, one
     // sample per bound call.
-    const auto calls = prof->stats("bind.interpreter").count;
+    const auto calls = tags.at("bind.interpreter").at("count").as_int();
     EXPECT_GT(calls, 0);
-    EXPECT_EQ(prof->stats("bind.gil_wait").count, calls);
-    EXPECT_EQ(prof->stats("bind.lookup").count, calls);
-    EXPECT_EQ(prof->stats("bind.boxing").count, calls);
-    EXPECT_GT(prof->stats("bind.interpreter").wall_ns, 0.0);
+    EXPECT_EQ(tags.at("bind.gil_wait").at("count").as_int(), calls);
+    EXPECT_EQ(tags.at("bind.lookup").at("count").as_int(), calls);
+    EXPECT_EQ(tags.at("bind.boxing").at("count").as_int(), calls);
+    EXPECT_GT(tags.at("bind.interpreter").at("wall_ns").as_double(), 0.0);
 }
 
 TEST(EventLogger, BindingLoggerRegistryAddRemove)
 {
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(16);
     const auto baseline = bind::get_loggers().size();
     bind::add_logger(rec);
     EXPECT_EQ(bind::get_loggers().size(), baseline + 1);
@@ -378,7 +422,7 @@ TEST(EventLogger, DetachedLoggersLeaveAllocationCountsUntouched)
     };
     const auto plain = run_solve(ReferenceExecutor::create());
     auto logged_exec = ReferenceExecutor::create();
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(4096);
     logged_exec->add_logger(rec);
     const auto logged = run_solve(logged_exec);
     EXPECT_EQ(plain, 0);
@@ -390,13 +434,15 @@ TEST(EventLogger, DetachedLoggersLeaveAllocationCountsUntouched)
 
 TEST(EventLogger, ConcurrentEmissionIntoOneProfilerIsSafe)
 {
-    // Many threads hammering alloc/free (pool events) and operations on
-    // one executor with a shared ProfilerLogger attached; run under
-    // MGKO_SANITIZE=thread this is the logger-side data-race check.
+    // Many threads hammering alloc/free (pool events) on one executor with
+    // a shared metrics logger and a private recorder attached; run under
+    // MGKO_SANITIZE=thread this is the sink-side data-race check.
     auto exec = ReferenceExecutor::create();
-    auto prof = log::ProfilerLogger::create();
-    auto rec = log::RecordLogger::create();
-    exec->add_logger(prof);
+    auto metrics = log::MetricsLogger::create();
+    // Sized for every event in one ring: an exiting thread hands its ring
+    // to the next thread that starts.
+    auto rec = Recorder::create(8192);
+    exec->add_logger(metrics);
     exec->add_logger(rec);
 
     constexpr int num_threads = 8;
@@ -414,14 +460,16 @@ TEST(EventLogger, ConcurrentEmissionIntoOneProfilerIsSafe)
     for (auto& th : threads) {
         th.join();
     }
-    exec->remove_logger(prof.get());
+    exec->remove_logger(metrics.get());
     exec->remove_logger(rec.get());
 
-    const auto hits = prof->stats("pool.hit").count;
-    const auto misses = prof->stats("pool.miss").count;
-    EXPECT_EQ(hits + misses, num_threads * rounds);
-    EXPECT_EQ(rec->count("allocation"), num_threads * rounds);
-    EXPECT_EQ(rec->count("free"), num_threads * rounds);
+    const auto& reg = metrics->registry();
+    EXPECT_EQ(reg.counter_value("mgko_events_total", "pool.hit") +
+                  reg.counter_value("mgko_events_total", "pool.miss"),
+              num_threads * rounds);
+    EXPECT_EQ(rec->dropped(), 0u);
+    EXPECT_EQ(count(*rec, Kind::alloc), num_threads * rounds);
+    EXPECT_EQ(count(*rec, Kind::free_mem), num_threads * rounds);
 }
 
 
@@ -431,7 +479,7 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
 {
     auto exec = ReferenceExecutor::create();
     const auto baseline = exec->get_loggers().size();
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(64);
     exec->add_logger(rec);
     exec->add_logger(rec);  // second attach of the same logger: no-op
     EXPECT_EQ(exec->get_loggers().size(), baseline + 1);
@@ -439,8 +487,8 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
     void* p = exec->alloc_bytes(128);
     exec->free_bytes(p);
     // One event per emission, not one per (duplicate) attachment.
-    EXPECT_EQ(rec->count("allocation"), 1);
-    EXPECT_EQ(rec->count("free"), 1);
+    EXPECT_EQ(count(*rec, Kind::alloc), 1);
+    EXPECT_EQ(count(*rec, Kind::free_mem), 1);
 
     // remove_logger removes the logger entirely; re-removal is a no-op.
     exec->remove_logger(rec.get());
@@ -448,7 +496,7 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
     exec->remove_logger(rec.get());
     EXPECT_EQ(exec->get_loggers().size(), baseline);
     // Distinct loggers still coexist.
-    auto rec2 = log::RecordLogger::create();
+    auto rec2 = Recorder::create(64);
     exec->add_logger(rec);
     exec->add_logger(rec2);
     EXPECT_EQ(exec->get_loggers().size(), baseline + 2);
@@ -459,7 +507,7 @@ TEST(EventLogger, DuplicateExecutorAttachmentIsIgnored)
 
 TEST(EventLogger, DuplicateBindingAttachmentIsIgnored)
 {
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(256);
     // Registration attaches the always-on flight recorder; force it now so
     // the baseline below is stable.
     bind::ensure_bindings_registered();
@@ -471,7 +519,7 @@ TEST(EventLogger, DuplicateBindingAttachmentIsIgnored)
     auto dev = bind::device("reference");
     auto t = bind::as_tensor(dev, dim2{8, 1}, "double", 1.0);
     (void)t.norm();
-    const auto calls = rec->count("binding_call");
+    const auto calls = count(*rec, Kind::binding);
     EXPECT_GT(calls, 0);
 
     bind::remove_logger(rec.get());
@@ -480,52 +528,28 @@ TEST(EventLogger, DuplicateBindingAttachmentIsIgnored)
     EXPECT_EQ(bind::get_loggers().size(), baseline);
     // No events once detached.
     (void)t.norm();
-    EXPECT_EQ(rec->count("binding_call"), calls);
+    EXPECT_EQ(count(*rec, Kind::binding), calls);
 }
 
 
-// --- TraceLogger (tentpole: hierarchical tracing) ------------------------
+// --- the recorder's trace view ---------------------------------------------
 
-// Replays the begin/end events of a parsed Chrome trace and checks each
-// 'E' closes the innermost open 'B' of the same name on its thread track.
-bool parsed_trace_well_nested(const config::Json& trace)
+TEST(RecorderTrace, CgSolveUnderMgkoTraceExportsWellNestedChromeJson)
 {
-    std::map<std::int64_t, std::vector<std::string>> stacks;
-    for (const auto& ev : trace.at("traceEvents").elements()) {
-        const auto& ph = ev.at("ph").as_string();
-        const auto tid = ev.at("tid").as_int();
-        if (ph == "B") {
-            stacks[tid].push_back(ev.at("name").as_string());
-        } else if (ph == "E") {
-            auto& stack = stacks[tid];
-            if (stack.empty() || stack.back() != ev.at("name").as_string()) {
-                return false;
-            }
-            stack.pop_back();
-        }
-    }
-    for (const auto& [tid, stack] : stacks) {
-        if (!stack.empty()) {
-            return false;
-        }
-    }
-    return true;
-}
-
-TEST(TraceLogger, CgSolveUnderMgkoTraceExportsWellNestedChromeJson)
-{
-    // The acceptance path: MGKO_TRACE=1 makes the executor factory attach
-    // the process-wide tracer, a CG solve emits solver phase spans and
-    // kernel slices, and the export is Chrome Trace Event JSON that
-    // round-trips through config/json.hpp.
-    ASSERT_EQ(setenv("MGKO_TRACE", "1", 1), 0);
-    auto tracer = log::tracer_from_env();
-    ASSERT_NE(tracer, nullptr);
-    EXPECT_EQ(tracer.get(), log::shared_tracer().get());
-    tracer->reset();
-
+    // The acceptance path: MGKO_TRACE keeps the shared recorder attached
+    // even with MGKO_FLIGHT_RECORDER=0, a CG solve emits solver phase
+    // spans and kernel slices into it, and dump_trace() writes Chrome
+    // Trace Event JSON that round-trips through config/json.hpp.
+    ASSERT_EQ(setenv("MGKO_FLIGHT_RECORDER", "0", 1), 0);
+    EXPECT_EQ(log::flight_recorder_from_env(), nullptr);
+    const std::string dir = ::testing::TempDir();
+    ASSERT_EQ(setenv("MGKO_TRACE", dir.c_str(), 1), 0);
+    auto recorder = log::flight_recorder_from_env();
+    ASSERT_NE(recorder, nullptr);
+    EXPECT_EQ(recorder.get(), log::shared_flight_recorder().get());
+    recorder->reset();
     {
-        auto exec = ReferenceExecutor::create();  // auto-attaches the tracer
+        auto exec = ReferenceExecutor::create();  // auto-attaches it
         const size_type n = 32;
         auto a = std::shared_ptr<Mtx>{Mtx::create_from_data(
             exec, test::laplacian_1d<double, int32>(n))};
@@ -537,100 +561,132 @@ TEST(TraceLogger, CgSolveUnderMgkoTraceExportsWellNestedChromeJson)
         auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
         auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
         solver->apply(b.get(), x.get());
-        exec->remove_logger(tracer.get());
     }
+    log::dump_trace(*recorder, "test_log_cg");
     ASSERT_EQ(unsetenv("MGKO_TRACE"), 0);
+    ASSERT_EQ(unsetenv("MGKO_FLIGHT_RECORDER"), 0);
 
-    EXPECT_TRUE(tracer->well_nested());
-    const auto events = tracer->events();
+    const std::string path =
+        dir + (dir.back() == '/' ? "" : "/") + "mgko-trace-test_log_cg.json";
+    std::ifstream file{path};
+    ASSERT_TRUE(file.good()) << path;
+    const auto json = config::Json::parse(file);
+    ASSERT_TRUE(json.at("traceEvents").is_array());
+    EXPECT_TRUE(parsed_trace_well_nested(json));
     size_type begins = 0;
     size_type ends = 0;
     bool saw_apply_span = false;
     bool saw_iteration_span = false;
-    bool saw_spmv_span = false;
-    for (const auto& ev : events) {
-        begins += ev.phase == 'B';
-        ends += ev.phase == 'E';
-        if (ev.phase == 'B') {
-            EXPECT_GT(ev.span_id, 0u);
-            saw_apply_span |= ev.name == "solver.cg.apply";
-            saw_iteration_span |= ev.name == "solver.cg.iteration";
-            // Kernel slices carry the bare Operation tag under cat "op".
-            saw_spmv_span |= ev.name == "csr_spmv" && ev.cat == "op";
+    bool saw_spmv_slice = false;
+    for (const auto& ev : json.at("traceEvents").elements()) {
+        const auto& ph = ev.at("ph").as_string();
+        const auto& name = ev.at("name").as_string();
+        begins += ph == "B";
+        ends += ph == "E";
+        if (ph == "B") {
+            EXPECT_GT(ev.at("args").at("span").as_int(), 0);
+            saw_apply_span |= name == "solver.cg.apply";
+            saw_iteration_span |= name == "solver.cg.iteration";
+        }
+        // Kernel slices carry the bare Operation tag under cat "op",
+        // with the work they reported.
+        if (ph == "X" && name == "csr_spmv" &&
+            ev.at("cat").as_string() == "op") {
+            saw_spmv_slice = true;
+            EXPECT_GT(ev.at("args").at("flops").as_double(), 0.0);
+            EXPECT_GT(ev.at("args").at("bytes").as_double(), 0.0);
         }
     }
     EXPECT_EQ(begins, ends);
     EXPECT_TRUE(saw_apply_span);
     EXPECT_TRUE(saw_iteration_span);
-    EXPECT_TRUE(saw_spmv_span);
-
-    // The export parses with the repo's own JSON parser and stays well
-    // nested after the round trip.
-    auto json = config::Json::parse(tracer->to_json());
-    ASSERT_TRUE(json.contains("traceEvents"));
-    ASSERT_TRUE(json.at("traceEvents").is_array());
-    EXPECT_EQ(json.at("traceEvents").elements().size(), events.size());
-    EXPECT_TRUE(parsed_trace_well_nested(json));
-    tracer->reset();
-    EXPECT_TRUE(tracer->events().empty());
+    EXPECT_TRUE(saw_spmv_slice);
+    ::unlink(path.c_str());
 }
 
-TEST(TraceLogger, SolverConfigTraceKeyAttachesTheSharedTracer)
+TEST(RecorderTrace, ConfigSolverSpansReachTheRecorderThroughTheExecutor)
 {
-    auto tracer = log::shared_tracer();
-    tracer->reset();
-    auto exec = ReferenceExecutor::create();  // MGKO_TRACE unset: no attach
+    auto exec = ReferenceExecutor::create();
+    auto rec = Recorder::create(4096);
+    exec->add_logger(rec);
     const size_type n = 24;
     auto a = std::shared_ptr<Mtx>{
         Mtx::create_from_data(exec, test::laplacian_1d<double, int32>(n))};
     auto config = config::Json::parse(
         R"({"type": "solver::Cg", "max_iters": 50,
-            "reduction_factor": 1e-10, "trace": true})");
+            "reduction_factor": 1e-10})");
     auto solver = config::config_solver(config, exec, a);
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create_filled(exec, dim2{n, 1}, 0.0);
     solver->apply(b.get(), x.get());
+    exec->remove_logger(rec.get());
 
-    EXPECT_TRUE(tracer->well_nested());
+    auto doc = config::Json::parse(rec->to_chrome_trace_json());
+    EXPECT_TRUE(parsed_trace_well_nested(doc));
     bool saw_apply_span = false;
-    for (const auto& ev : tracer->events()) {
-        saw_apply_span |=
-            ev.phase == 'B' && ev.name == "solver.cg.apply";
+    for (const auto& ev : doc.at("traceEvents").elements()) {
+        saw_apply_span |= ev.at("ph").as_string() == "B" &&
+                          ev.at("name").as_string() == "solver.cg.apply";
     }
     EXPECT_TRUE(saw_apply_span);
-    tracer->reset();
+    // The recorder is the only timeline: the former per-solver "trace"
+    // key is now an unknown key, which strict config rejects.
+    config["trace"] = config::Json{true};
+    EXPECT_THROW(config::config_solver(config, exec, a), BadParameter);
 }
 
-TEST(TraceLogger, BindingCallsBecomeCompleteSlicesWithBreakdownChildren)
+TEST(RecorderTrace, BindingCallsBecomeCompleteSlicesWithBreakdownChildren)
 {
-    auto tracer = log::TraceLogger::create();
-    bind::add_logger(tracer);
+    auto rec = Recorder::create(1024);
+    auto metrics = log::MetricsLogger::create();
+    bind::add_logger(rec);
+    bind::add_logger(metrics);
     auto dev = bind::device("reference");
     auto t = bind::as_tensor(dev, dim2{16, 1}, "double", 1.0);
     (void)t.norm();
-    bind::remove_logger(tracer.get());
+    bind::remove_logger(metrics.get());
+    bind::remove_logger(rec.get());
 
+    auto doc = config::Json::parse(rec->to_chrome_trace_json());
     bool saw_call_slice = false;
     bool saw_interpreter_child = false;
-    for (const auto& ev : tracer->events()) {
-        if (ev.phase != 'X') {
+    double lookup_ns = 0.0;
+    double boxing_ns = 0.0;
+    for (const auto& ev : doc.at("traceEvents").elements()) {
+        if (ev.at("ph").as_string() != "X") {
             continue;
         }
-        if (ev.cat == "bind" && ev.name.rfind("bind.", 0) != 0) {
+        const auto& name = ev.at("name").as_string();
+        if (ev.at("cat").as_string() == "bind" &&
+            name.rfind("bind.", 0) != 0) {
             saw_call_slice = true;
-            EXPECT_GT(ev.dur_ns, 0.0);
+            EXPECT_GT(ev.at("dur").as_double(), 0.0);
+            const auto& args = ev.at("args");
+            EXPECT_TRUE(args.contains("gil_wait_ns"));
+            EXPECT_GT(args.at("interpreter_ns").as_double(), 0.0);
+            lookup_ns += args.at("lookup_ns").as_double();
+            boxing_ns += args.at("boxing_ns").as_double();
         }
-        saw_interpreter_child |= ev.name == "bind.interpreter";
+        saw_interpreter_child |= name == "bind.interpreter";
     }
     EXPECT_TRUE(saw_call_slice);
     EXPECT_TRUE(saw_interpreter_child);
-    EXPECT_TRUE(tracer->well_nested());  // 'X' slices don't affect nesting
+    EXPECT_TRUE(parsed_trace_well_nested(doc));  // 'X' slices don't nest
+    // The packed lookup/boxing times agree with the registry's exact sums
+    // to the packing's 12 mantissa bits.
+    const auto& reg = metrics->registry();
+    const double exact_lookup =
+        reg.counter_value("mgko_binding_overhead_ns_total", "bind.lookup");
+    const double exact_boxing =
+        reg.counter_value("mgko_binding_overhead_ns_total", "bind.boxing");
+    EXPECT_NEAR(lookup_ns, exact_lookup, 1e-3 * exact_lookup + 1e-9);
+    EXPECT_NEAR(boxing_ns, exact_boxing, 1e-3 * exact_boxing + 1e-9);
 }
 
 
 // --- roofline accounting (tentpole: per-kernel work model) ---------------
 
-TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
+TEST(ProfileView, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
 {
     auto exec = ReferenceExecutor::create();
     const size_type n = 64;
@@ -640,17 +696,24 @@ TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create(exec, dim2{n, 1});
 
-    auto prof = log::ProfilerLogger::create();
-    exec->add_logger(prof);
+    auto metrics = log::MetricsLogger::create();
+    auto rec = Recorder::create(256);
+    exec->add_logger(metrics);
+    exec->add_logger(rec);
     const size_type reps = 5;
     for (size_type r = 0; r < reps; ++r) {
         a->apply(b.get(), x.get());
     }
-    exec->remove_logger(prof.get());
+    exec->remove_logger(rec.get());
+    exec->remove_logger(metrics.get());
 
-    const auto stats = prof->stats("op.csr_spmv");
-    ASSERT_EQ(stats.count, reps);
-    EXPECT_GT(stats.wall_ns, 0.0);
+    const auto tags = profile_tags(metrics->registry().to_profile_json());
+    const auto& stats = tags.at("op.csr_spmv");
+    ASSERT_EQ(stats.at("count").as_int(), reps);
+    const double wall_ns = stats.at("wall_ns").as_double();
+    const double flops = stats.at("flops").as_double();
+    const double work_bytes = stats.at("work_bytes").as_double();
+    EXPECT_GT(wall_ns, 0.0);
 
     // Flops are exact: 2 nnz per SpMV.  Bytes match the analytic
     // compulsory traffic up to the cost model's locality miss term, which
@@ -658,28 +721,33 @@ TEST(ProfilerLogger, CsrSpmvRooflineMatchesTheAnalyticWorkModel)
     const auto analytic =
         log::csr_spmv_work(n, nnz, sizeof(double), sizeof(int32));
     const auto rd = static_cast<double>(reps);
-    EXPECT_DOUBLE_EQ(stats.flops, rd * analytic.flops);
-    EXPECT_GE(stats.work_bytes, rd * analytic.bytes);
-    EXPECT_LE(stats.work_bytes,
+    EXPECT_DOUBLE_EQ(flops, rd * analytic.flops);
+    EXPECT_GE(work_bytes, rd * analytic.bytes);
+    EXPECT_LE(work_bytes,
               rd * (analytic.bytes +
                     static_cast<double>(nnz) * sizeof(double)));
 
     // The roofline derivations are live and consistent.
-    EXPECT_GT(stats.gflops(), 0.0);
-    EXPECT_GT(stats.gbps(), 0.0);
-    EXPECT_DOUBLE_EQ(stats.gflops(),
-                     log::achieved_gflops(stats.flops, stats.wall_ns));
-    EXPECT_DOUBLE_EQ(stats.intensity(), stats.flops / stats.work_bytes);
+    const double gflops = stats.at("gflops").as_double();
+    EXPECT_GT(gflops, 0.0);
+    EXPECT_GT(stats.at("gbps").as_double(), 0.0);
+    EXPECT_NEAR(gflops, log::achieved_gflops(flops, wall_ns), 1e-9 * gflops);
 
-    // ...and survive the JSON export.
-    auto json = config::Json::parse(prof->to_json());
-    const auto& tag = json.at("tags").at("op.csr_spmv");
-    EXPECT_DOUBLE_EQ(tag.at("flops").as_double(), stats.flops);
-    EXPECT_GT(tag.at("gflops").as_double(), 0.0);
-    EXPECT_GT(tag.at("gbps").as_double(), 0.0);
+    // The recorder's kernel slices carry the same work.
+    auto doc = config::Json::parse(rec->to_chrome_trace_json());
+    double trace_flops = 0.0;
+    double trace_bytes = 0.0;
+    for (const auto& ev : doc.at("traceEvents").elements()) {
+        if (ev.at("name").as_string() == "csr_spmv") {
+            trace_flops += ev.at("args").at("flops").as_double();
+            trace_bytes += ev.at("args").at("bytes").as_double();
+        }
+    }
+    EXPECT_DOUBLE_EQ(trace_flops, flops);
+    EXPECT_NEAR(trace_bytes, work_bytes, 1e-6 * work_bytes);
 }
 
-TEST(RecordLogger, OperationEventsCarryCapturedWork)
+TEST(EventLogger, OperationEventsCarryCapturedWork)
 {
     auto exec = ReferenceExecutor::create();
     const size_type n = 32;
@@ -687,17 +755,17 @@ TEST(RecordLogger, OperationEventsCarryCapturedWork)
         Mtx::create_from_data(exec, test::laplacian_1d<double, int32>(n))};
     auto b = Vec::create_filled(exec, dim2{n, 1}, 1.0);
     auto x = Vec::create(exec, dim2{n, 1});
-    auto rec = log::RecordLogger::create();
+    auto rec = Recorder::create(256);
     exec->add_logger(rec);
     a->apply(b.get(), x.get());
     exec->remove_logger(rec.get());
 
     const size_type nnz = 3 * n - 2;
     bool saw_work = false;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "operation_work" && r.name == "csr_spmv") {
+    for (const auto& r : rec->snapshot()) {
+        if (r.kind == Kind::operation && std::string{r.tag} == "csr_spmv") {
             saw_work = true;
-            EXPECT_DOUBLE_EQ(r.value, 2.0 * static_cast<double>(nnz));
+            EXPECT_DOUBLE_EQ(r.b, 2.0 * static_cast<double>(nnz));
         }
     }
     EXPECT_TRUE(saw_work);
@@ -964,7 +1032,7 @@ TEST(MetricsRegistry, ConcurrentObservesScrapesAndResetsNeverTearExemplars)
 }
 
 
-// --- dump destinations (MGKO_PROFILE / MGKO_TRACE / MGKO_METRICS) --------
+// --- dump destinations (MGKO_TRACE / MGKO_METRICS) ------------------------
 
 TEST(DumpPath, StdoutSentinelsAndDefaults)
 {
@@ -1038,71 +1106,6 @@ TEST(MetricsLogger, CgSolveFeedsCountersGaugesAndLatencyHistograms)
 }
 
 
-// --- concurrent tracing (satellite: TSan stress) -------------------------
-
-TEST(TraceLogger, ConcurrentStdThreadSpansStayWellNestedPerTrack)
-{
-    auto tracer = log::TraceLogger::create();
-    constexpr int num_threads = 8;
-    constexpr int rounds = 100;
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (int t = 0; t < num_threads; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < rounds; ++i) {
-                tracer->on_span_begin("outer");
-                tracer->on_span_begin("inner");
-                tracer->on_span_end("inner");
-                tracer->on_span_end("outer");
-            }
-        });
-    }
-    for (auto& th : threads) {
-        th.join();
-    }
-
-    EXPECT_TRUE(tracer->well_nested());
-    const auto events = tracer->events();
-    EXPECT_EQ(events.size(),
-              static_cast<std::size_t>(num_threads) * rounds * 4);
-    // Every thread got its own track, and every begin carries a span id.
-    std::set<int> tids;
-    for (const auto& ev : events) {
-        tids.insert(ev.tid);
-        if (ev.phase == 'B') {
-            EXPECT_GT(ev.span_id, 0u);
-        }
-    }
-    EXPECT_EQ(tids.size(), static_cast<std::size_t>(num_threads));
-}
-
-TEST(TraceLogger, ConcurrentOpenMpSpansStayWellNestedPerTrack)
-{
-#ifdef MGKO_TSAN
-    GTEST_SKIP() << "libgomp is not TSan-instrumented; the std::thread "
-                    "variant covers this under TSan";
-#else
-    auto tracer = log::TraceLogger::create();
-    constexpr int rounds = 100;
-    int num_threads = 0;
-#pragma omp parallel num_threads(4)
-    {
-#pragma omp single
-        num_threads = omp_get_num_threads();
-        for (int i = 0; i < rounds; ++i) {
-            tracer->on_span_begin("omp.outer");
-            tracer->on_span_begin("omp.inner");
-            tracer->on_span_end("omp.inner");
-            tracer->on_span_end("omp.outer");
-        }
-    }
-    EXPECT_TRUE(tracer->well_nested());
-    EXPECT_EQ(tracer->events().size(),
-              static_cast<std::size_t>(num_threads) * rounds * 4);
-#endif
-}
-
-
 // --- batch stop reasons (satellite: on_batch_solver_stop export) ---------
 
 TEST(EventLogger, BatchSolverStopExportsPerSystemStopReasons)
@@ -1131,50 +1134,58 @@ TEST(EventLogger, BatchSolverStopExportsPerSystemStopReasons)
                       .with_criteria(stop::residual_norm(1e-8))
                       .on(exec)
                       ->generate(std::move(mat));
-    auto rec = log::RecordLogger::create();
-    auto prof = log::ProfilerLogger::create();
-    auto tracer = log::TraceLogger::create();
+    auto rec = Recorder::create(1024);
+    auto metrics = log::MetricsLogger::create();
     solver->add_logger(rec);
-    solver->add_logger(prof);
-    solver->add_logger(tracer);
+    solver->add_logger(metrics);
     solver->apply(b.get(), x.get());
 
-    // RecordLogger: one stop-reason record per system, reasons verbatim.
-    std::vector<std::string> reasons;
-    for (const auto& r : rec->records()) {
-        if (r.kind == "batch_stop_reason") {
-            reasons.push_back(r.name);
+    // Recorder: one batch_reason record per distinct outcome, counting
+    // its systems; together they partition the batch.
+    std::map<std::string, double> reasons;
+    for (const auto& r : rec->snapshot()) {
+        if (r.kind == Kind::batch_reason) {
+            reasons[r.tag] += r.a;
         }
     }
-    ASSERT_EQ(reasons.size(), num);
-    EXPECT_NE(reasons[1].find("breakdown"), std::string::npos);
-    EXPECT_NE(reasons[0], reasons[1]);
-
-    // ProfilerLogger: batch.stop.<reason> tags partition the batch.
-    EXPECT_EQ(prof->stats("batch.stop").count, 1);
-    size_type tagged = 0;
-    size_type reason_tags = 0;
-    for (const auto& [tag, stats] : prof->summary()) {
-        if (tag.rfind("batch.stop.", 0) == 0) {
-            ++reason_tags;
-            tagged += stats.count;
-        }
+    EXPECT_GE(reasons.size(), 2u);  // converged + breakdown at minimum
+    double partitioned = 0.0;
+    bool saw_breakdown = false;
+    for (const auto& [reason, systems] : reasons) {
+        partitioned += systems;
+        saw_breakdown |= reason.find("breakdown") != std::string::npos;
+        // Registry: the same outcomes as batch.stop.<reason> counters.
+        EXPECT_EQ(metrics->registry().counter_value(
+                      "mgko_batch_systems_total", "batch.stop." + reason),
+                  systems)
+            << reason;
     }
-    EXPECT_GE(reason_tags, 2u);  // converged + breakdown at minimum
-    EXPECT_EQ(tagged, num);
+    EXPECT_EQ(partitioned, static_cast<double>(num));
+    EXPECT_TRUE(saw_breakdown);
+    EXPECT_EQ(metrics->registry().counter_value("mgko_events_total",
+                                                "batch.stop"),
+              1.0);
 
-    // TraceLogger: the batch.stop instant carries the reason histogram,
+    // Trace view: the batch.stop instant carries the reason histogram,
     // and the batch spans stay well nested around it.
-    EXPECT_TRUE(tracer->well_nested());
+    auto doc = config::Json::parse(rec->to_chrome_trace_json());
+    EXPECT_TRUE(parsed_trace_well_nested(doc));
     bool saw_stop_instant = false;
     bool saw_apply_span = false;
-    for (const auto& ev : tracer->events()) {
-        if (ev.phase == 'i' && ev.name == "batch.stop") {
+    for (const auto& ev : doc.at("traceEvents").elements()) {
+        const auto& ph = ev.at("ph").as_string();
+        const auto& name = ev.at("name").as_string();
+        if (ph == "i" && name == "batch.stop") {
             saw_stop_instant = true;
-            EXPECT_NE(ev.args.find("stop_reasons"), std::string::npos);
-            EXPECT_NE(ev.args.find("breakdown"), std::string::npos);
+            const auto& histogram = ev.at("args").at("stop_reasons");
+            double systems = 0.0;
+            for (const auto& [reason, n_systems] : histogram.items()) {
+                EXPECT_EQ(n_systems.as_double(), reasons[reason]) << reason;
+                systems += n_systems.as_double();
+            }
+            EXPECT_EQ(systems, static_cast<double>(num));
         }
-        saw_apply_span |= ev.phase == 'B' && ev.name == "batch.cg.apply";
+        saw_apply_span |= ph == "B" && name == "batch.cg.apply";
     }
     EXPECT_TRUE(saw_stop_instant);
     EXPECT_TRUE(saw_apply_span);

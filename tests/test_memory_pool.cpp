@@ -6,13 +6,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "core/array.hpp"
 #include "core/executor.hpp"
 #include "core/memory_pool.hpp"
-#include "log/profiler.hpp"
+#include "log/flight_recorder.hpp"
 
 namespace {
 
@@ -224,12 +225,14 @@ TEST(MemoryPool, ClassifyNearSizeMaxGoesOversizeInsteadOfWrapping)
 
 TEST(MemoryPool, ConcurrentStressWithEventLoggerAttached)
 {
-    // The ConcurrentAllocFreeStress workload with a RecordLogger attached:
-    // under MGKO_SANITIZE=thread this checks the event hooks themselves
-    // (pool hit/miss emission inside the allocator, alloc/free completion)
-    // for data races with the sharded pool.
+    // The ConcurrentAllocFreeStress workload with a private FlightRecorder
+    // attached: under MGKO_SANITIZE=thread this checks the event hooks
+    // themselves (pool hit/miss emission inside the allocator, alloc/free
+    // completion) for data races with the sharded pool.
     auto exec = OmpExecutor::create(4);
-    auto rec = log::RecordLogger::create();
+    // Sized for every event in one ring (3 per iteration plus trims): an
+    // exiting thread hands its ring to the next thread that starts.
+    auto rec = log::FlightRecorder::create(16384);
     exec->add_logger(rec);
     constexpr int num_threads = 8;
     constexpr int iterations = 500;
@@ -255,9 +258,15 @@ TEST(MemoryPool, ConcurrentStressWithEventLoggerAttached)
     exec->remove_logger(rec.get());
     EXPECT_EQ(exec->num_live_allocations(), 0);
     const auto total = static_cast<size_type>(num_threads) * iterations;
-    EXPECT_EQ(rec->count("allocation"), total);
-    EXPECT_EQ(rec->count("free"), total);
-    EXPECT_EQ(rec->count("pool_hit") + rec->count("pool_miss"), total);
+    ASSERT_EQ(rec->dropped(), 0u);
+    std::map<log::FlightRecorder::event_kind, size_type> counts;
+    for (const auto& r : rec->snapshot()) {
+        ++counts[r.kind];
+    }
+    using Kind = log::FlightRecorder::event_kind;
+    EXPECT_EQ(counts[Kind::alloc], total);
+    EXPECT_EQ(counts[Kind::free_mem], total);
+    EXPECT_EQ(counts[Kind::pool_hit] + counts[Kind::pool_miss], total);
 }
 
 TEST(MemoryPool, ArrayShrinkRegrowWithinCapacityIsAllocationFree)

@@ -426,6 +426,26 @@ TEST(SolveServer, MtxUploadAndCustomRhs)
     server->stop();
 }
 
+TEST(SolveServer, MtxHeaderLargerThanItsBodyIsATyped400)
+{
+    // Small bodies whose headers declare a huge nnz or rows*cols past
+    // int64 are malformed uploads, not server faults.
+    auto server = serve::SolveServer::start({});
+    for (const char* mtx : {"%%MatrixMarket matrix coordinate real general\n"
+                            "2 2 100000000000\n1 1 1.0\n",
+                            "%%MatrixMarket matrix array real general\n"
+                            "3037000500 3037000500\n1.0\n"}) {
+        Json upload = Json::make_object();
+        upload["mtx"] = Json{std::string{mtx}};
+        const auto response = http_request(server->port(), "POST",
+                                           "/v1/operators", upload.dump());
+        EXPECT_EQ(status_of(response), 400) << response;
+        EXPECT_NE(Json::parse(body_of(response)).at("error").as_string(),
+                  "");
+    }
+    server->stop();
+}
+
 TEST(SolveServer, RoutingErrorsAreTypedJson)
 {
     // handle() is exposed precisely so error paths need no sockets.
