@@ -14,6 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
+#include <vector>
 
 #include "bench/common/harness.hpp"
 #include "bindings/api.hpp"
@@ -21,7 +23,9 @@
 #include "config/json.hpp"
 #include "log/flight_recorder.hpp"
 #include "log/metrics.hpp"
+#include "core/kernel_utils.hpp"
 #include "matrix/csr.hpp"
+#include "matrix/csr_kernels.hpp"
 #include "matrix/dense.hpp"
 #include "solver/cg.hpp"
 #include "solver/gmres.hpp"
@@ -281,6 +285,109 @@ void BM_ColdSolverGenerateAndApply(benchmark::State& state)
     probe.report(state);
 }
 BENCHMARK(BM_ColdSolverGenerateAndApply)->Arg(256);
+
+// --- serial-vs-team sweep: the small-work cutoff -----------------------------
+//
+// Times one kernel body on the calling thread (team = 0) and on a full
+// OpenMP team (team = 1) at n = 256 ... 64k rows and 1 or 4 columns, with
+// the same primitives the library's kernels are written with
+// (kernels::parallel_for / column_sums and the CSR kernel itself), but with
+// the team size forced instead of taken from kernels::team_size().  The
+// `work` counter is the kernel's work in the cutoff's unit (rows x columns,
+// stored nonzeros x columns for SpMV); kernels::small_work_cutoff is the
+// work at which the team starts to win (DESIGN.md, "Thread budget and
+// small-work cutoff", holds the table).
+//   ./build/bench/bench_micro_overhead --benchmark_filter=TeamCutoff
+enum class sweep_kernel { axpy, dot, norm2, csr_spmv };
+
+void BM_TeamCutoff(benchmark::State& state)
+{
+    const auto kernel = static_cast<sweep_kernel>(state.range(0));
+    const auto n = static_cast<size_type>(state.range(1));
+    const auto cols = static_cast<size_type>(state.range(2));
+    auto exec = OmpExecutor::create();
+    const int nt = state.range(3) ? kernels::exec_threads(exec.get()) : 1;
+    std::vector<double> x(n * cols, 1.0);
+    std::vector<double> y(n * cols, 0.5);
+    std::vector<double> sums(cols);
+    // 2D 5-point Poisson on a square grid (n is a power of four).
+    const auto side = static_cast<size_type>(std::lround(std::sqrt(n)));
+    matrix_data<double, int32> data{dim2{n, n}};
+    if (kernel == sweep_kernel::csr_spmv) {
+        const auto stride = static_cast<int32>(side);
+        for (size_type i = 0; i < side; ++i) {
+            for (size_type j = 0; j < side; ++j) {
+                const auto row = static_cast<int32>(i * side + j);
+                data.entries.push_back({row, row, 4.0});
+                if (i > 0) {
+                    data.entries.push_back({row, row - stride, -1.0});
+                }
+                if (j > 0) {
+                    data.entries.push_back({row, row - 1, -1.0});
+                }
+                if (j + 1 < side) {
+                    data.entries.push_back({row, row + 1, -1.0});
+                }
+                if (i + 1 < side) {
+                    data.entries.push_back({row, row + stride, -1.0});
+                }
+            }
+        }
+        data.sort_row_major();
+    }
+    auto mtx = Csr<double, int32>::create_from_data(exec, data);
+    const auto* values = mtx->get_const_values();
+    const auto* col_idxs = mtx->get_const_col_idxs();
+    const auto* row_ptrs = mtx->get_const_row_ptrs();
+    const auto work = (kernel == sweep_kernel::csr_spmv
+                           ? mtx->get_num_stored_elements()
+                           : n) *
+                      cols;
+    for (auto _ : state) {
+        switch (kernel) {
+        case sweep_kernel::axpy:
+            kernels::parallel_for(nt, n, [&](size_type r) {
+                for (size_type c = 0; c < cols; ++c) {
+                    y[r * cols + c] += 0.5 * x[r * cols + c];
+                }
+            });
+            break;
+        case sweep_kernel::dot:
+            kernels::column_sums(
+                nt, n, cols,
+                [&](size_type r, size_type c) {
+                    return x[r * cols + c] * y[r * cols + c];
+                },
+                [&](size_type c, double sum) { sums[c] = sum; });
+            break;
+        case sweep_kernel::norm2:
+            kernels::column_sums(
+                nt, n, cols,
+                [&](size_type r, size_type c) {
+                    return x[r * cols + c] * x[r * cols + c];
+                },
+                [&](size_type c, double sum) { sums[c] = std::sqrt(sum); });
+            break;
+        case sweep_kernel::csr_spmv:
+            kernels::csr::spmv_balanced(nt, values, col_idxs, row_ptrs,
+                                        x.data(), cols, y.data(), cols, n,
+                                        cols, false, 1.0, 0.0);
+            break;
+        }
+        benchmark::DoNotOptimize(y.data());
+        benchmark::DoNotOptimize(sums.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["work"] = static_cast<double>(work);
+    state.counters["threads"] = nt;
+}
+BENCHMARK(BM_TeamCutoff)
+    ->ArgNames({"kernel", "n", "cols", "team"})
+    ->ArgsProduct({{0, 1, 2, 3},
+                   {256, 1024, 4096, 16384, 65536},
+                   {1, 4},
+                   {0, 1}});
+
 
 // --- always-on flight recorder overhead --------------------------------------
 //

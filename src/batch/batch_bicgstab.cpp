@@ -76,13 +76,15 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
     const double vb = static_cast<double>(n) * sizeof(ValueType);
     const double fn = static_cast<double>(n);
 
-    detail::run_kernel(exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
-        kernels::batch::norm2(nt, num, nullptr, b_vals, n, b_norm.data());
-    });
+    detail::run_kernel<ValueType>(
+        exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
+            kernels::batch::norm2(nt, num, nullptr, b_vals, n, b_norm.data());
+        });
     this->system_ops_->residual_raw(nullptr, b_vals, x_vals, r);
-    detail::run_kernel(exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
-        kernels::batch::norm2(nt, num, nullptr, r, n, r_norm.data());
-    });
+    detail::run_kernel<ValueType>(
+        exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
+            kernels::batch::norm2(nt, num, nullptr, r, n, r_norm.data());
+        });
     auto criteria = this->bind_criteria(b_norm.data(), r_norm.data());
     for (size_type s_idx = 0; s_idx < num; ++s_idx) {
         this->logger_->log_iteration(s_idx, 0, r_norm[s_idx]);
@@ -90,9 +92,10 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
         alpha[s_idx] = 1.0;
         omega[s_idx] = 1.0;
     }
-    detail::run_kernel(exec, "batch_copy", num, 2.0 * vb, 0.0, [&](int nt) {
-        kernels::batch::copy(nt, num, nullptr, r, r_tilde, n);
-    });
+    detail::run_kernel<ValueType>(
+        exec, "batch_copy", num, 2.0 * vb, 0.0, [&](int nt) {
+            kernels::batch::copy(nt, num, nullptr, r, r_tilde, n);
+        });
     p_vec->fill(zero<ValueType>());
     v_vec->fill(zero<ValueType>());
 
@@ -117,11 +120,11 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
     size_type iter = 0;
     while (active_count > 0) {
         auto round_span = this->make_span("batch.bicgstab.round");
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb,
-                           2.0 * fn, [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(),
-                                                   r_tilde, r, n, rho.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), r_tilde, r, n,
+                                    rho.data());
+            });
         for (size_type s_idx = 0; s_idx < num; ++s_idx) {
             if (active[s_idx] &&
                 (rho[s_idx] == 0.0 || !std::isfinite(rho[s_idx]))) {
@@ -132,11 +135,11 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
             break;
         }
         // p = r + beta * (p - omega * v), beta = (rho/rho_prev)*(alpha/omega)
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           omega.data(), v, p, n, true);
+                kernels::batch::add_scaled(nt, num, active.data(), omega.data(),
+                                           v, p, n, true);
             });
         for (size_type s_idx = 0; s_idx < num; ++s_idx) {
             if (active[s_idx]) {
@@ -144,21 +147,20 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
                                (alpha[s_idx] / omega[s_idx]);
             }
         }
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_scale_add", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::scale_add(nt, num, active.data(),
-                                          coeff.data(), r, p, n);
+                kernels::batch::scale_add(nt, num, active.data(), coeff.data(),
+                                          r, p, n);
             });
 
         this->apply_preconditioner(active.data(), p, p_hat, n);
         this->system_ops_->apply_raw(active.data(), p_hat, v);
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb,
-                           2.0 * fn, [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(),
-                                                   r_tilde, v, n,
-                                                   coeff.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), r_tilde, v, n,
+                                    coeff.data());
+            });
         for (size_type s_idx = 0; s_idx < num; ++s_idx) {
             if (active[s_idx] &&
                 (coeff[s_idx] == 0.0 || !std::isfinite(coeff[s_idx]))) {
@@ -174,22 +176,21 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
             }
         }
         // s = r - alpha * v
-        detail::run_kernel(exec, "batch_copy", active_count, 2.0 * vb, 0.0,
-                           [&](int nt) {
-                               kernels::batch::copy(nt, num, active.data(), r,
-                                                    s, n);
-                           });
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
+            exec, "batch_copy", active_count, 2.0 * vb, 0.0, [&](int nt) {
+                kernels::batch::copy(nt, num, active.data(), r, s, n);
+            });
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           alpha.data(), v, s, n, true);
+                kernels::batch::add_scaled(nt, num, active.data(), alpha.data(),
+                                           v, s, n, true);
             });
-        detail::run_kernel(exec, "batch_norm2", active_count, vb, 2.0 * fn,
-                           [&](int nt) {
-                               kernels::batch::norm2(nt, num, active.data(),
-                                                     s, n, s_norm.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_norm2", active_count, vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::norm2(nt, num, active.data(), s, n,
+                                      s_norm.data());
+            });
         ++iter;
         const auto advanced = active_count;
         double max_res = 0.0;
@@ -206,7 +207,7 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
             }
         }
         if (half_count > 0) {
-            detail::run_kernel(
+            detail::run_kernel<ValueType>(
                 exec, "batch_add_scaled", half_count, 3.0 * vb, 2.0 * fn,
                 [&](int nt) {
                     kernels::batch::add_scaled(nt, num, half_.data(),
@@ -231,11 +232,11 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
 
         this->apply_preconditioner(active.data(), s, s_hat, n);
         this->system_ops_->apply_raw(active.data(), s_hat, t);
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb,
-                           2.0 * fn, [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(), t,
-                                                   t, n, coeff.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), t, t, n,
+                                    coeff.data());
+            });
         // t't breakdown: accept the half step for those systems and retire.
         size_type tt_breakdowns = 0;
         std::fill(half_.begin(), half_.end(), 0);
@@ -247,7 +248,7 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
             }
         }
         if (tt_breakdowns > 0) {
-            detail::run_kernel(
+            detail::run_kernel<ValueType>(
                 exec, "batch_add_scaled", tt_breakdowns, 3.0 * vb, 2.0 * fn,
                 [&](int nt) {
                     kernels::batch::add_scaled(nt, num, half_.data(),
@@ -270,48 +271,44 @@ void Bicgstab<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
 
         // omega = t's / t't (coeff currently holds t't).
         auto& ts = rho_prev;  // rho_prev is rewritten below; reuse as scratch
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb,
-                           2.0 * fn, [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(), t,
-                                                   s, n, ts.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), t, s, n, ts.data());
+            });
         for (size_type s_idx = 0; s_idx < num; ++s_idx) {
             if (active[s_idx]) {
                 omega[s_idx] = ts[s_idx] / coeff[s_idx];
             }
         }
         // x += alpha * p_hat + omega * s_hat
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           alpha.data(), p_hat, x_vals, n,
-                                           false);
+                kernels::batch::add_scaled(nt, num, active.data(), alpha.data(),
+                                           p_hat, x_vals, n, false);
             });
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           omega.data(), s_hat, x_vals, n,
-                                           false);
+                kernels::batch::add_scaled(nt, num, active.data(), omega.data(),
+                                           s_hat, x_vals, n, false);
             });
         // r = s - omega * t
-        detail::run_kernel(exec, "batch_copy", active_count, 2.0 * vb, 0.0,
-                           [&](int nt) {
-                               kernels::batch::copy(nt, num, active.data(), s,
-                                                    r, n);
-                           });
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
+            exec, "batch_copy", active_count, 2.0 * vb, 0.0, [&](int nt) {
+                kernels::batch::copy(nt, num, active.data(), s, r, n);
+            });
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           omega.data(), t, r, n, true);
+                kernels::batch::add_scaled(nt, num, active.data(), omega.data(),
+                                           t, r, n, true);
             });
-        detail::run_kernel(exec, "batch_norm2", active_count, vb, 2.0 * fn,
-                           [&](int nt) {
-                               kernels::batch::norm2(nt, num, active.data(),
-                                                     r, n, r_norm.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_norm2", active_count, vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::norm2(nt, num, active.data(), r, n,
+                                      r_norm.data());
+            });
         for (size_type s_idx = 0; s_idx < num; ++s_idx) {
             if (active[s_idx]) {
                 rho_prev[s_idx] = rho[s_idx];

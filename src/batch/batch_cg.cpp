@@ -57,13 +57,15 @@ void Cg<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
     const double vb = static_cast<double>(n) * sizeof(ValueType);
     const double fn = static_cast<double>(n);
 
-    detail::run_kernel(exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
-        kernels::batch::norm2(nt, num, nullptr, b_vals, n, b_norm.data());
-    });
+    detail::run_kernel<ValueType>(
+        exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
+            kernels::batch::norm2(nt, num, nullptr, b_vals, n, b_norm.data());
+        });
     this->system_ops_->residual_raw(nullptr, b_vals, x_vals, r);
-    detail::run_kernel(exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
-        kernels::batch::norm2(nt, num, nullptr, r, n, r_norm.data());
-    });
+    detail::run_kernel<ValueType>(
+        exec, "batch_norm2", num, vb, 2.0 * fn, [&](int nt) {
+            kernels::batch::norm2(nt, num, nullptr, r, n, r_norm.data());
+        });
     auto criteria = this->bind_criteria(b_norm.data(), r_norm.data());
     for (size_type s = 0; s < num; ++s) {
         this->logger_->log_iteration(s, 0, r_norm[s]);
@@ -88,27 +90,26 @@ void Cg<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
 
     if (active_count > 0) {
         this->apply_preconditioner(active.data(), r, z, n);
-        detail::run_kernel(exec, "batch_copy", active_count, 2.0 * vb, 0.0,
-                           [&](int nt) {
-                               kernels::batch::copy(nt, num, active.data(), z,
-                                                    p, n);
-                           });
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn,
-                           [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(), r,
-                                                   z, n, rho.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_copy", active_count, 2.0 * vb, 0.0, [&](int nt) {
+                kernels::batch::copy(nt, num, active.data(), z, p, n);
+            });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), r, z, n,
+                                    rho.data());
+            });
     }
 
     size_type iter = 0;
     while (active_count > 0) {
         auto round_span = this->make_span("batch.cg.round");
         this->system_ops_->apply_raw(active.data(), p, q);
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn,
-                           [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(), p,
-                                                   q, n, coeff.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), p, q, n,
+                                    coeff.data());
+            });
         for (size_type s = 0; s < num; ++s) {
             if (active[s] && (coeff[s] == 0.0 || !std::isfinite(coeff[s]))) {
                 retire(s, iter, false, "breakdown: p'Ap == 0");
@@ -122,23 +123,23 @@ void Cg<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
                 coeff[s] = rho[s] / coeff[s];  // alpha
             }
         }
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           coeff.data(), p, x_vals, n, false);
+                kernels::batch::add_scaled(nt, num, active.data(), coeff.data(),
+                                           p, x_vals, n, false);
             });
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_add_scaled", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::add_scaled(nt, num, active.data(),
-                                           coeff.data(), q, r, n, true);
+                kernels::batch::add_scaled(nt, num, active.data(), coeff.data(),
+                                           q, r, n, true);
             });
-        detail::run_kernel(exec, "batch_norm2", active_count, vb, 2.0 * fn,
-                           [&](int nt) {
-                               kernels::batch::norm2(nt, num, active.data(),
-                                                     r, n, r_norm.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_norm2", active_count, vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::norm2(nt, num, active.data(), r, n,
+                                      r_norm.data());
+            });
         ++iter;
         double max_res = 0.0;
         for (size_type s = 0; s < num; ++s) {
@@ -153,11 +154,11 @@ void Cg<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
             break;
         }
         this->apply_preconditioner(active.data(), r, z, n);
-        detail::run_kernel(exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn,
-                           [&](int nt) {
-                               kernels::batch::dot(nt, num, active.data(), r,
-                                                   z, n, coeff.data());
-                           });
+        detail::run_kernel<ValueType>(
+            exec, "batch_dot", active_count, 2.0 * vb, 2.0 * fn, [&](int nt) {
+                kernels::batch::dot(nt, num, active.data(), r, z, n,
+                                    coeff.data());
+            });
         for (size_type s = 0; s < num; ++s) {
             if (active[s]) {
                 const double rho_new = coeff[s];
@@ -166,11 +167,11 @@ void Cg<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
             }
         }
         // p = z + beta * p, one kernel across the batch.
-        detail::run_kernel(
+        detail::run_kernel<ValueType>(
             exec, "batch_scale_add", active_count, 3.0 * vb, 2.0 * fn,
             [&](int nt) {
-                kernels::batch::scale_add(nt, num, active.data(),
-                                          coeff.data(), z, p, n);
+                kernels::batch::scale_add(nt, num, active.data(), coeff.data(),
+                                          z, p, n);
             });
     }
     this->log_batch_stop();

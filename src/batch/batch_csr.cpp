@@ -107,10 +107,10 @@ void Csr<ValueType, IndexType>::apply_raw(const std::uint8_t* active,
     const auto active_systems =
         kernels::batch::count_active(active, get_num_systems());
     run_uniform(get_executor().get(), "batch_csr_spmv", [&](const Executor* e) {
-        kernels::batch::csr_spmv(kernels::exec_threads(e), get_num_systems(),
-                                 active, get_const_row_ptrs(),
-                                 get_const_col_idxs(), get_const_values(),
-                                 rows, nnz, b, x);
+        kernels::batch::csr_spmv(kernels::team_size(e, active_systems * nnz),
+                                 get_num_systems(), active,
+                                 get_const_row_ptrs(), get_const_col_idxs(),
+                                 get_const_values(), rows, nnz, b, x);
         kernels::tick(
             e, kernels::batch::batch_stream_profile(
                    active_systems,
@@ -135,9 +135,9 @@ void Csr<ValueType, IndexType>::residual_raw(const std::uint8_t* active,
     run_uniform(
         get_executor().get(), "batch_csr_residual", [&](const Executor* e) {
             kernels::batch::csr_residual(
-                kernels::exec_threads(e), get_num_systems(), active,
-                get_const_row_ptrs(), get_const_col_idxs(), get_const_values(),
-                rows, nnz, b, x, r);
+                kernels::team_size(e, active_systems * nnz), get_num_systems(),
+                active, get_const_row_ptrs(), get_const_col_idxs(),
+                get_const_values(), rows, nnz, b, x, r);
             kernels::tick(
                 e,
                 kernels::batch::batch_stream_profile(

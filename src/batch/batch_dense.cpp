@@ -159,9 +159,10 @@ void Dense<ValueType>::apply_impl(const BatchLinOp* b, BatchLinOp* x) const
     run_uniform(
         get_executor().get(), "batch_dense_apply", [&](const Executor* e) {
             kernels::batch::dense_apply(
-                kernels::exec_threads(e), get_num_systems(), nullptr,
-                get_const_values(), rows, cols, batch_b->get_const_values(),
-                vec_cols, batch_x->get_values());
+                kernels::team_size(
+                    e, get_num_systems() * rows * cols * vec_cols),
+                get_num_systems(), nullptr, get_const_values(), rows, cols,
+                batch_b->get_const_values(), vec_cols, batch_x->get_values());
             kernels::tick(
                 e, kernels::batch::batch_stream_profile(
                        get_num_systems(),
@@ -184,10 +185,10 @@ void Dense<ValueType>::apply_raw(const std::uint8_t* active,
         kernels::batch::count_active(active, get_num_systems());
     run_uniform(
         get_executor().get(), "batch_dense_apply", [&](const Executor* e) {
-            kernels::batch::dense_apply(kernels::exec_threads(e),
-                                        get_num_systems(), active,
-                                        get_const_values(), rows, rows, b,
-                                        size_type{1}, x);
+            kernels::batch::dense_apply(
+                kernels::team_size(e, active_systems * rows * rows),
+                get_num_systems(), active, get_const_values(), rows, rows, b,
+                size_type{1}, x);
             kernels::tick(
                 e, kernels::batch::batch_stream_profile(
                        active_systems,
@@ -210,9 +211,9 @@ void Dense<ValueType>::residual_raw(const std::uint8_t* active,
         kernels::batch::count_active(active, get_num_systems());
     run_uniform(
         get_executor().get(), "batch_dense_residual", [&](const Executor* e) {
-            kernels::batch::dense_residual(kernels::exec_threads(e),
-                                           get_num_systems(), active,
-                                           get_const_values(), rows, b, x, r);
+            kernels::batch::dense_residual(
+                kernels::team_size(e, active_systems * rows * rows),
+                get_num_systems(), active, get_const_values(), rows, b, x, r);
             kernels::tick(
                 e, kernels::batch::batch_stream_profile(
                        active_systems,

@@ -88,9 +88,9 @@ void Jacobi<ValueType>::apply_raw(const std::uint8_t* active,
         kernels::batch::count_active(active, get_num_systems());
     run_uniform(
         get_executor().get(), "batch_jacobi_apply", [&](const Executor* e) {
-            kernels::batch::jacobi_apply(kernels::exec_threads(e),
-                                         get_num_systems(), active,
-                                         inv_diag_.get_const_data(), b, x, n);
+            kernels::batch::jacobi_apply(
+                kernels::team_size(e, active_systems * n), get_num_systems(),
+                active, inv_diag_.get_const_data(), b, x, n);
             kernels::tick(e, kernels::batch::batch_stream_profile(
                                  active_systems,
                                  3.0 * static_cast<double>(n) *
@@ -109,24 +109,26 @@ void Jacobi<ValueType>::residual_raw(const std::uint8_t* active,
     const auto num = get_num_systems();
     run_uniform(
         get_executor().get(), "batch_jacobi_residual", [&](const Executor* e) {
-            const auto nt = kernels::exec_threads(e);
+            const auto active_systems =
+                kernels::batch::count_active(active, num);
             const auto* inv_diag = inv_diag_.get_const_data();
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type s = 0; s < num; ++s) {
-                if (active != nullptr && !active[s]) {
-                    continue;
-                }
-                for (size_type i = 0; i < n; ++i) {
-                    const auto idx = s * n + i;
-                    // The stored data is the inverse diagonal, so the
-                    // operator's diagonal entry is its reciprocal.
-                    r[idx] = b[idx] -
-                             safe_reciprocal(inv_diag[idx]) * x[idx];
-                }
-            }
+            kernels::parallel_for(
+                kernels::team_size(e, active_systems * n), num,
+                [=](size_type s) {
+                    if (active != nullptr && !active[s]) {
+                        return;
+                    }
+                    for (size_type i = 0; i < n; ++i) {
+                        const auto idx = s * n + i;
+                        // The stored data is the inverse diagonal, so the
+                        // operator's diagonal entry is its reciprocal.
+                        r[idx] = b[idx] -
+                                 safe_reciprocal(inv_diag[idx]) * x[idx];
+                    }
+                });
             kernels::tick(
                 e, kernels::batch::batch_stream_profile(
-                       kernels::batch::count_active(active, num),
+                       active_systems,
                        4.0 * static_cast<double>(n) * sizeof(ValueType),
                        2.0 * static_cast<double>(n)));
         });

@@ -106,14 +106,18 @@ namespace detail {
 
 /// Runs `fn(nt)` as a named executor operation and charges one batched
 /// streaming kernel over `active_systems` systems onto the SimClock — the
-/// batched solvers' analogue of the Dense kernels' dispatch + tick.
-template <typename Fn>
+/// batched solvers' analogue of the Dense kernels' dispatch + tick.  Its
+/// work for the team-size cutoff is the ValueType elements it streams.
+template <typename ValueType, typename Fn>
 void run_kernel(const std::shared_ptr<const Executor>& exec, const char* name,
                 size_type active_systems, double bytes_per_system,
                 double flops_per_system, Fn&& fn)
 {
+    const auto work = static_cast<size_type>(
+        static_cast<double>(active_systems) * bytes_per_system /
+        sizeof(ValueType));
     auto body = [&](const Executor* e) {
-        fn(kernels::exec_threads(e));
+        fn(kernels::team_size(e, work));
         kernels::tick(e,
                       kernels::batch::batch_stream_profile(
                           active_systems, bytes_per_system, flops_per_system));
@@ -211,7 +215,7 @@ protected:
             precond_ops_->apply_raw(active, r, z);
         } else {
             const auto num = this->get_num_systems();
-            detail::run_kernel(
+            detail::run_kernel<ValueType>(
                 this->get_executor(), "batch_identity_apply",
                 kernels::batch::count_active(active, num),
                 2.0 * static_cast<double>(n) * sizeof(ValueType), 0.0,

@@ -116,8 +116,9 @@ public:
     const sim::MachineModel& model() const { return model_; }
     sim::SimClock& clock() const { return clock_; }
 
-    /// Number of parallel workers the performance model assumes; kernels use
-    /// it for partitioning decisions (and, on real hardware, thread counts).
+    /// Number of parallel workers the performance model assumes; the cost
+    /// model uses it for partitioning decisions.  Real thread counts come
+    /// from OmpExecutor::real_threads() through kernels::team_size().
     int worker_count() const { return model_.workers; }
 
     /// The host executor backing this one; returns itself for host

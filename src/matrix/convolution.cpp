@@ -51,9 +51,9 @@ void conv2d(const Executor* exec, const V* kernel, mgko::size_type k,
     using mgko::size_type;
     const auto vec_cols = b->get_size().cols;
     const auto half = static_cast<std::int64_t>(k / 2);
-    const int nt = mgko::kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type row = 0; row < height; ++row) {
+    const int nt =
+        mgko::kernels::team_size(exec, height * width * vec_cols * k * k);
+    mgko::kernels::parallel_for(nt, height, [=](size_type row) {
         for (size_type col = 0; col < width; ++col) {
             for (size_type c = 0; c < vec_cols; ++c) {
                 using acc_t = accumulate_t<V>;
@@ -89,7 +89,7 @@ void conv2d(const Executor* exec, const V* kernel, mgko::size_type k,
                                           : alpha * V{acc} + beta * out;
             }
         }
-    }
+    });
     const double pixels =
         static_cast<double>(height) * static_cast<double>(width) *
         static_cast<double>(vec_cols);

@@ -134,6 +134,15 @@ void Coo<ValueType, IndexType>::apply_accumulate(const LinOp* b,
     const auto* row_idxs = get_const_row_idxs();
     const auto* col_idxs = get_const_col_idxs();
 
+    auto run_flat = [&](const Executor* e) {
+        kernels::coo::spmv_flat(kernels::team_size(e, nnz * vec_cols), values,
+                                row_idxs, col_idxs, nnz,
+                                dense_b->get_const_values(),
+                                dense_b->get_stride(), x->get_values(),
+                                x->get_stride(), vec_cols);
+        kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
+                                      e->model(), vec_cols, false));
+    };
     get_executor()->run(make_operation(
         "coo_spmv",
         [&](const ReferenceExecutor* e) {
@@ -144,33 +153,9 @@ void Coo<ValueType, IndexType>::apply_accumulate(const LinOp* b,
             kernels::tick(e, spmv_profile(sim::spmv_strategy::serial,
                                           e->model(), vec_cols, false));
         },
-        [&](const OmpExecutor* e) {
-            kernels::coo::spmv_flat(kernels::exec_threads(e), values,
-                                    row_idxs, col_idxs, nnz,
-                                    dense_b->get_const_values(),
-                                    dense_b->get_stride(), x->get_values(),
-                                    x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
-                                          e->model(), vec_cols, false));
-        },
-        [&](const CudaExecutor* e) {
-            kernels::coo::spmv_flat(kernels::exec_threads(e), values,
-                                    row_idxs, col_idxs, nnz,
-                                    dense_b->get_const_values(),
-                                    dense_b->get_stride(), x->get_values(),
-                                    x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
-                                          e->model(), vec_cols, false));
-        },
-        [&](const HipExecutor* e) {
-            kernels::coo::spmv_flat(kernels::exec_threads(e), values,
-                                    row_idxs, col_idxs, nnz,
-                                    dense_b->get_const_values(),
-                                    dense_b->get_stride(), x->get_values(),
-                                    x->get_stride(), vec_cols);
-            kernels::tick(e, spmv_profile(sim::spmv_strategy::coo_flat_atomic,
-                                          e->model(), vec_cols, false));
-        }));
+        [&](const OmpExecutor* e) { run_flat(e); },
+        [&](const CudaExecutor* e) { run_flat(e); },
+        [&](const HipExecutor* e) { run_flat(e); }));
 }
 
 

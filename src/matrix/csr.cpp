@@ -7,135 +7,12 @@
 #include "core/kernel_utils.hpp"
 #include "core/math.hpp"
 #include "matrix/coo.hpp"
+#include "matrix/csr_kernels.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/ell.hpp"
 #include "matrix/sellcs.hpp"
 
 namespace mgko {
-
-namespace kernels::csr {
-
-/// Computes one row of y = [alpha *] A * b [+ beta * y] for all b columns.
-template <typename V, typename I>
-inline void spmv_row(const V* values, const I* col_idxs, const I* row_ptrs,
-                     const V* b, size_type b_stride, V* x, size_type x_stride,
-                     size_type row, size_type vec_cols, bool advanced, V alpha,
-                     V beta)
-{
-    using acc_t = accumulate_t<V>;
-    for (size_type c = 0; c < vec_cols; ++c) {
-        acc_t acc{};
-        for (I k = row_ptrs[row]; k < row_ptrs[row + 1]; ++k) {
-            acc += static_cast<acc_t>(values[k]) *
-                   static_cast<acc_t>(b[static_cast<size_type>(col_idxs[k]) *
-                                            b_stride +
-                                        c]);
-        }
-        auto& out = x[row * x_stride + c];
-        // beta == 0 must not read `out` (may be uninitialized).
-        out = !advanced           ? V{acc}
-              : beta == zero<V>() ? alpha * V{acc}
-                                  : alpha * V{acc} + beta * out;
-    }
-}
-
-
-/// Textbook serial kernel (reference executor ground truth).
-template <typename V, typename I>
-void spmv_serial(const V* values, const I* col_idxs, const I* row_ptrs,
-                 const V* b, size_type b_stride, V* x, size_type x_stride,
-                 size_type rows, size_type vec_cols, bool advanced, V alpha,
-                 V beta)
-{
-    for (size_type row = 0; row < rows; ++row) {
-        spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride, row,
-                 vec_cols, advanced, alpha, beta);
-    }
-}
-
-
-/// Classical parallel kernel: contiguous equal-count row blocks per thread.
-template <typename V, typename I>
-void spmv_classical(int nt, const V* values, const I* col_idxs,
-                    const I* row_ptrs, const V* b, size_type b_stride, V* x,
-                    size_type x_stride, size_type rows, size_type vec_cols,
-                    bool advanced, V alpha, V beta)
-{
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static)
-    for (size_type row = 0; row < rows; ++row) {
-        spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride, row,
-                 vec_cols, advanced, alpha, beta);
-    }
-}
-
-
-/// Load-balanced kernel: rows are split so that every thread owns (nearly)
-/// the same number of nonzeros — Ginkgo's balancing strategy for
-/// irregular matrices.  Row boundaries are found by binary search in the
-/// row-pointer array.
-template <typename V, typename I>
-void spmv_balanced(int nt, const V* values, const I* col_idxs,
-                   const I* row_ptrs, const V* b, size_type b_stride, V* x,
-                   size_type x_stride, size_type rows, size_type vec_cols,
-                   bool advanced, V alpha, V beta)
-{
-    const auto nnz = static_cast<size_type>(row_ptrs[rows]);
-#pragma omp parallel num_threads(nt) if (nt > 1)
-    {
-#ifdef _OPENMP
-        const int tid = omp_get_thread_num();
-        const int threads = omp_get_num_threads();
-#else
-        const int tid = 0;
-        const int threads = 1;
-#endif
-        const auto target_begin = nnz * tid / threads;
-        const auto target_end = nnz * (tid + 1) / threads;
-        // Thread t owns the rows whose start offset falls in
-        // [target_begin, target_end); boundaries are consistent across
-        // threads because both ends use the same search.
-        const auto row_begin = static_cast<size_type>(
-            std::lower_bound(row_ptrs, row_ptrs + rows,
-                             static_cast<I>(target_begin)) -
-            row_ptrs);
-        const auto row_end =
-            tid == threads - 1
-                ? rows
-                : static_cast<size_type>(
-                      std::lower_bound(row_ptrs, row_ptrs + rows,
-                                       static_cast<I>(target_end)) -
-                      row_ptrs);
-        for (size_type row = row_begin; row < row_end; ++row) {
-            spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride,
-                     row, vec_cols, advanced, alpha, beta);
-        }
-    }
-}
-
-
-/// Wavefront kernel (HIP path): rows processed in chunks of 64, chunks
-/// distributed round-robin.
-template <typename V, typename I>
-void spmv_wavefront(int nt, const V* values, const I* col_idxs,
-                    const I* row_ptrs, const V* b, size_type b_stride, V* x,
-                    size_type x_stride, size_type rows, size_type vec_cols,
-                    bool advanced, V alpha, V beta)
-{
-    const size_type chunk = 64;
-    const size_type num_chunks = ceildiv(rows, chunk);
-#pragma omp parallel for num_threads(nt) if (nt > 1) schedule(static, 1)
-    for (size_type c = 0; c < num_chunks; ++c) {
-        const size_type begin = c * chunk;
-        const size_type end = std::min(rows, begin + chunk);
-        for (size_type row = begin; row < end; ++row) {
-            spmv_row(values, col_idxs, row_ptrs, b, b_stride, x, x_stride,
-                     row, vec_cols, advanced, alpha, beta);
-        }
-    }
-}
-
-}  // namespace kernels::csr
-
 
 template <typename ValueType, typename IndexType>
 Csr<ValueType, IndexType>::Csr(std::shared_ptr<const Executor> exec, dim2 size,
@@ -255,6 +132,7 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
     const auto exec = mat->get_executor();
     const auto classical =
         mat->get_strategy() == Csr<V, I>::strategy::classical;
+    const auto work = static_cast<size_type>(row_ptrs[rows]) * vec_cols;
 
     auto tick_strategy = [&](const Executor* e, sim::spmv_strategy s) {
         kernels::tick(e, mat->spmv_profile(s, e->model(), vec_cols, advanced));
@@ -270,7 +148,7 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
             tick_strategy(e, sim::spmv_strategy::serial);
         },
         [&](const OmpExecutor* e) {
-            const int nt = kernels::exec_threads(e);
+            const int nt = kernels::team_size(e, work);
             if (classical) {
                 kernels::csr::spmv_classical(
                     nt, values, col_idxs, row_ptrs, b->get_const_values(),
@@ -286,7 +164,7 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
             }
         },
         [&](const CudaExecutor* e) {
-            const int nt = kernels::exec_threads(e);
+            const int nt = kernels::team_size(e, work);
             kernels::csr::spmv_balanced(nt, values, col_idxs, row_ptrs,
                                         b->get_const_values(), b->get_stride(),
                                         x->get_values(), x->get_stride(), rows,
@@ -295,7 +173,7 @@ void csr_apply_dispatch(const Csr<V, I>* mat, const Dense<V>* b, Dense<V>* x,
                                        : sim::spmv_strategy::balanced_nnz);
         },
         [&](const HipExecutor* e) {
-            const int nt = kernels::exec_threads(e);
+            const int nt = kernels::team_size(e, work);
             kernels::csr::spmv_wavefront(
                 nt, values, col_idxs, row_ptrs, b->get_const_values(),
                 b->get_stride(), x->get_values(), x->get_stride(), rows,

@@ -17,11 +17,9 @@ template <typename V>
 void fill(const Executor* exec, V* values, size_type rows, size_type cols,
           size_type stride, V value)
 {
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type r = 0; r < rows; ++r) {
+    parallel_for(team_size(exec, rows * cols), rows, [=](size_type r) {
         std::fill_n(values + r * stride, cols, value);
-    }
+    });
     kernels::tick(exec, sim::profile_stream(
                             static_cast<double>(rows * cols * sizeof(V)), 0.0));
 }
@@ -30,13 +28,11 @@ template <typename V>
 void scale(const Executor* exec, V* x, size_type rows, size_type cols,
            size_type stride, const V* alpha, size_type alpha_cols)
 {
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type r = 0; r < rows; ++r) {
+    parallel_for(team_size(exec, rows * cols), rows, [=](size_type r) {
         for (size_type c = 0; c < cols; ++c) {
             x[r * stride + c] *= alpha[alpha_cols == 1 ? 0 : c];
         }
-    }
+    });
     const double bytes = static_cast<double>(2 * rows * cols * sizeof(V));
     kernels::tick(exec, sim::profile_stream(bytes,
                                             static_cast<double>(rows * cols)));
@@ -47,9 +43,7 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
                 size_type cols, size_type x_stride, size_type b_stride,
                 const V* alpha, size_type alpha_cols, bool subtract)
 {
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type r = 0; r < rows; ++r) {
+    parallel_for(team_size(exec, rows * cols), rows, [=](size_type r) {
         for (size_type c = 0; c < cols; ++c) {
             const V a = alpha[alpha_cols == 1 ? 0 : c];
             const V term = a * b[r * b_stride + c];
@@ -59,7 +53,7 @@ void add_scaled(const Executor* exec, V* x, const V* b, size_type rows,
                 x[r * x_stride + c] += term;
             }
         }
-    }
+    });
     const double bytes = static_cast<double>(3 * rows * cols * sizeof(V));
     kernels::tick(exec, sim::profile_stream(
                             bytes, static_cast<double>(2 * rows * cols)));
@@ -70,23 +64,13 @@ void compute_dot(const Executor* exec, const V* a, const V* b, size_type rows,
                  size_type cols, size_type a_stride, size_type b_stride,
                  V* result)
 {
-    for (size_type c = 0; c < cols; ++c) {
-        result[c] = zero<V>();
-    }
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel num_threads(nt) if (nt > 1)
-    {
-        for (size_type c = 0; c < cols; ++c) {
-            double acc = 0.0;
-#pragma omp for nowait
-            for (size_type r = 0; r < rows; ++r) {
-                acc += to_float(a[r * a_stride + c]) *
-                       to_float(b[r * b_stride + c]);
-            }
-#pragma omp critical
-            result[c] += static_cast<V>(acc);
-        }
-    }
+    column_sums(
+        team_size(exec, rows * cols), rows, cols,
+        [&](size_type r, size_type c) {
+            return to_float(a[r * a_stride + c]) *
+                   to_float(b[r * b_stride + c]);
+        },
+        [&](size_type c, double sum) { result[c] = static_cast<V>(sum); });
     const double bytes = static_cast<double>(2 * rows * cols * sizeof(V));
     kernels::tick(exec,
                   sim::profile_reduction(exec->model(), bytes,
@@ -97,16 +81,15 @@ template <typename V>
 void compute_norm2(const Executor* exec, const V* a, size_type rows,
                    size_type cols, size_type stride, V* result)
 {
-    const int nt = kernels::exec_threads(exec);
-    for (size_type c = 0; c < cols; ++c) {
-        double acc = 0.0;
-#pragma omp parallel for num_threads(nt) if (nt > 1) reduction(+ : acc)
-        for (size_type r = 0; r < rows; ++r) {
+    column_sums(
+        team_size(exec, rows * cols), rows, cols,
+        [&](size_type r, size_type c) {
             const double v = to_float(a[r * stride + c]);
-            acc += v * v;
-        }
-        result[c] = static_cast<V>(std::sqrt(acc));
-    }
+            return v * v;
+        },
+        [&](size_type c, double sum) {
+            result[c] = static_cast<V>(std::sqrt(sum));
+        });
     const double bytes = static_cast<double>(rows * cols * sizeof(V));
     kernels::tick(exec,
                   sim::profile_reduction(exec->model(), bytes,
@@ -118,9 +101,7 @@ void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
           size_type k, size_type n, size_type a_stride, size_type b_stride,
           size_type x_stride, V alpha, V beta)
 {
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type i = 0; i < m; ++i) {
+    parallel_for(team_size(exec, m * k * n), m, [=](size_type i) {
         for (size_type j = 0; j < n; ++j) {
             using acc_t = accumulate_t<V>;
             acc_t acc{};
@@ -134,7 +115,7 @@ void gemm(const Executor* exec, const V* a, const V* b, V* x, size_type m,
             out = beta == zero<V>() ? alpha * V{acc}
                                     : alpha * V{acc} + beta * out;
         }
-    }
+    });
     const double bytes =
         static_cast<double>((m * k + k * n + 2 * m * n) * sizeof(V));
     kernels::tick(exec, sim::profile_stream(
@@ -149,9 +130,7 @@ void gemv_t(const Executor* exec, const V* a, const V* b, V* x, size_type m,
             size_type x_stride)
 {
     // x(k x n) = aᵀ(k x m) * b(m x n), a stored as (m x k) row-major.
-    const int nt = kernels::exec_threads(exec);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type i = 0; i < k; ++i) {
+    parallel_for(team_size(exec, m * k * n), k, [=](size_type i) {
         for (size_type j = 0; j < n; ++j) {
             using acc_t = accumulate_t<V>;
             acc_t acc{};
@@ -161,7 +140,7 @@ void gemv_t(const Executor* exec, const V* a, const V* b, V* x, size_type m,
             }
             x[i * x_stride + j] = V{acc};
         }
-    }
+    });
     const double bytes =
         static_cast<double>((m * k + m * n + k * n) * sizeof(V));
     kernels::tick(exec, sim::profile_stream(

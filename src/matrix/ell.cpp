@@ -18,8 +18,7 @@ void spmv(int nt, const V* values, const I* col_idxs, size_type rows,
           size_type x_stride, size_type vec_cols, bool advanced, V alpha,
           V beta)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type row = 0; row < rows; ++row) {
+    parallel_for(nt, rows, [=](size_type row) {
         for (size_type c = 0; c < vec_cols; ++c) {
             using acc_t = accumulate_t<V>;
             acc_t acc{};
@@ -35,7 +34,7 @@ void spmv(int nt, const V* values, const I* col_idxs, size_type rows,
                   : beta == zero<V>() ? alpha * V{acc}
                                       : alpha * V{acc} + beta * out;
         }
-    }
+    });
 }
 
 }  // namespace kernels::ell
@@ -174,12 +173,13 @@ void ell_apply(const Ell<V, I>* mat, const LinOp* b, LinOp* x, bool advanced,
     auto dense_x = as_dense<V>(x);
     const auto vec_cols = dense_b->get_size().cols;
     auto run_kernel = [&](const Executor* e) {
-        kernels::ell::spmv(kernels::exec_threads(e), mat->get_const_values(),
-                           mat->get_const_col_idxs(), mat->get_size().rows,
-                           mat->get_num_stored_per_row(),
-                           dense_b->get_const_values(), dense_b->get_stride(),
-                           dense_x->get_values(), dense_x->get_stride(),
-                           vec_cols, advanced, alpha, beta);
+        kernels::ell::spmv(
+            kernels::team_size(e, mat->get_num_stored_elements() * vec_cols),
+            mat->get_const_values(), mat->get_const_col_idxs(),
+            mat->get_size().rows, mat->get_num_stored_per_row(),
+            dense_b->get_const_values(), dense_b->get_stride(),
+            dense_x->get_values(), dense_x->get_stride(), vec_cols, advanced,
+            alpha, beta);
         kernels::tick(e, mat->spmv_profile(e->model(), vec_cols, advanced));
     };
     mat->get_executor()->run(make_operation(

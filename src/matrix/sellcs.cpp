@@ -25,8 +25,7 @@ void spmv(int nt, const V* values, const I* col_idxs, const I* slice_sets,
           size_type x_stride, size_type vec_cols, bool advanced, V alpha,
           V beta)
 {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-    for (size_type s = 0; s < num_slices; ++s) {
+    parallel_for(nt, num_slices, [=](size_type s) {
         using acc_t = accumulate_t<V>;
         const auto set = static_cast<size_type>(slice_sets[s]);
         const auto width = static_cast<size_type>(slice_sets[s + 1]) - set;
@@ -56,7 +55,7 @@ void spmv(int nt, const V* values, const I* col_idxs, const I* slice_sets,
                                           : alpha * V{acc[i]} + beta * out;
             }
         }
-    }
+    });
 }
 
 }  // namespace kernels::sellcs
@@ -249,10 +248,10 @@ void sellcs_apply(const SellCs<V, I>* mat, const LinOp* b, LinOp* x,
     const auto vec_cols = dense_b->get_size().cols;
     auto run_kernel = [&](const Executor* e) {
         kernels::sellcs::spmv(
-            kernels::exec_threads(e), mat->get_const_values(),
-            mat->get_const_col_idxs(), mat->get_const_slice_sets(),
-            mat->get_const_permutation(), mat->get_size().rows,
-            mat->get_slice_size(), mat->get_num_slices(),
+            kernels::team_size(e, mat->get_num_stored_elements() * vec_cols),
+            mat->get_const_values(), mat->get_const_col_idxs(),
+            mat->get_const_slice_sets(), mat->get_const_permutation(),
+            mat->get_size().rows, mat->get_slice_size(), mat->get_num_slices(),
             dense_b->get_const_values(), dense_b->get_stride(),
             dense_x->get_values(), dense_x->get_stride(), vec_cols, advanced,
             alpha, beta);

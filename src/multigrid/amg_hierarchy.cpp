@@ -347,13 +347,12 @@ void Hierarchy<ValueType, IndexType>::smooth(size_type lvl,
         const auto* tv = tmp->get_const_values();
         const auto w = params_.jacobi_weight;
         auto kernel = [&](const Executor* e) {
-            const int nt = kernels::exec_threads(e);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type i = 0; i < n; ++i) {
+            const int nt = kernels::team_size(e, n);
+            kernels::parallel_for(nt, n, [=](size_type i) {
                 xv[i * x_stride] += static_cast<ValueType>(
                     w * to_float(inv_diag[i]) *
                     (to_float(bv[i * b_stride]) - to_float(tv[i])));
-            }
+            });
             kernels::tick(
                 e, sim::profile_stream(
                        4.0 * static_cast<double>(n) * sizeof(ValueType),

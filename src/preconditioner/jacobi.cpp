@@ -150,21 +150,19 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
     const auto* inv = inv_data_.get_const_data();
 
     auto kernel = [&](const Executor* e) {
-        const int nt = kernels::exec_threads(e);
+        const int nt = kernels::team_size(e, n * vec_cols * bs);
         if (bs == 1) {
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type row = 0; row < n; ++row) {
+            kernels::parallel_for(nt, n, [=](size_type row) {
                 for (size_type c = 0; c < vec_cols; ++c) {
                     dense_x->get_values()[row * dense_x->get_stride() + c] =
                         inv[row] *
                         dense_b->get_const_values()
                             [row * dense_b->get_stride() + c];
                 }
-            }
+            });
         } else {
             const auto num_blocks = ceildiv(n, bs);
-#pragma omp parallel for num_threads(nt) if (nt > 1)
-            for (size_type blk = 0; blk < num_blocks; ++blk) {
+            kernels::parallel_for(nt, num_blocks, [=](size_type blk) {
                 const auto begin = blk * bs;
                 const auto end = std::min(n, begin + bs);
                 const auto* binv = inv + blk * bs * bs;
@@ -183,7 +181,7 @@ void Jacobi<ValueType, IndexType>::apply_impl(const LinOp* b, LinOp* x) const
                             ValueType{acc};
                     }
                 }
-            }
+            });
         }
         kernels::tick(
             e, sim::profile_stream(

@@ -20,6 +20,7 @@
 #include "config/json.hpp"
 #include "core/exception.hpp"
 #include "core/executor.hpp"
+#include "core/kernel_utils.hpp"
 #include "core/mtx_io.hpp"
 #include "log/flight_recorder.hpp"
 #include "log/hw_counters.hpp"
@@ -127,6 +128,9 @@ struct SolveServer::Impl {
     };
 
     std::shared_ptr<Executor> exec;
+    /// Splits the host's OpenMP threads among the requests in flight.
+    kernels::ThreadBudget thread_budget;
+    std::atomic<int> last_team_threads{0};
 
     // --- operator cache (cache_mutex guards all four) ---
     std::mutex cache_mutex;
@@ -164,6 +168,7 @@ struct SolveServer::Impl {
         double bytes{0.0};
         double alloc_bytes{0.0};
         std::uint64_t kernels{0};
+        int team_threads{0};
     };
     static constexpr std::size_t recent_capacity = 256;
     std::mutex recent_mutex;
@@ -366,9 +371,13 @@ void SolveServer::serve_connection(int fd)
                           options_.request_deadline_ms);
     std::string response;
     switch (result) {
-    case read_result::ok:
+    case read_result::ok: {
+        // In flight from here until the response is built: its kernels
+        // share the cores with every other request being handled.
+        kernels::ThreadBudgetScope budget{impl_->thread_budget};
         response = handle(request);
         break;
+    }
     case read_result::timeout:
         impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
         impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
@@ -429,6 +438,9 @@ std::string SolveServer::handle(const HttpRequest& request)
         ctx.cost = &cost;
     }
     log::TraceContextScope scope{ctx};
+    // The team this request's kernels start with: the whole machine when
+    // it runs alone, its ThreadBudget share under concurrency.
+    const int team_threads = kernels::exec_threads(impl_->exec.get());
     auto& registry = log::shared_metrics()->registry();
     auto recorder = log::shared_flight_recorder();
     recorder->on_span_begin(route);
@@ -570,6 +582,11 @@ std::string SolveServer::handle(const HttpRequest& request)
     recorder->on_operation_completed(nullptr, route, wall_ns, 0.0, 0.0);
     recorder->on_span_end(route);
     registry.observe("mgko_solve_latency_ns", route, wall_ns);
+    registry.observe("mgko_solve_team_threads", route, team_threads);
+    if (path == "/v1/solve") {
+        impl_->last_team_threads.store(team_threads,
+                                       std::memory_order_relaxed);
+    }
     const char* outcome = status < 400                  ? "ok"
                           : status == 429              ? "rejected"
                           : status < 500               ? "client_error"
@@ -595,6 +612,7 @@ std::string SolveServer::handle(const HttpRequest& request)
         summary.bytes = totals.bytes;
         summary.alloc_bytes = totals.alloc_bytes;
         summary.kernels = totals.kernels;
+        summary.team_threads = team_threads;
         impl_->record_request(std::move(summary));
     }
     // Echo the context on every response so the caller can navigate from
@@ -649,6 +667,8 @@ std::string SolveServer::requests_json(std::size_t limit,
             entry["alloc_bytes"] = Json{summary.alloc_bytes};
             entry["kernels"] =
                 Json{static_cast<std::int64_t>(summary.kernels)};
+            entry["team_threads"] =
+                Json{static_cast<std::int64_t>(summary.team_threads)};
             list.push_back(std::move(entry));
         }
     }
@@ -937,6 +957,7 @@ SolveServer::Stats SolveServer::stats() const
         impl_->solver_generations.load(std::memory_order_relaxed);
     s.queue_peak = impl_->queue_peak.load(std::memory_order_relaxed);
     s.queue_capacity = options_.queue_capacity;
+    s.team_threads = impl_->last_team_threads.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> guard{impl_->cache_mutex};
         s.cache_operators = static_cast<size_type>(impl_->operators.size());
@@ -980,6 +1001,7 @@ std::string SolveServer::stats_json() const
     doc["queue"] = std::move(queue);
     doc["workers"] =
         Json{static_cast<std::int64_t>(options_.num_workers)};
+    doc["team_threads"] = Json{s.team_threads};
     return doc.dump();
 }
 

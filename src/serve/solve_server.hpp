@@ -69,11 +69,17 @@
 // stop() is graceful: it stops accepting, then drains queued and
 // in-flight requests before joining the workers.
 //
+// Workers share the machine's cores instead of multiplying them: each
+// request is handled inside a kernels::ThreadBudgetScope, so a lone
+// request's kernels get every OpenMP thread and k concurrent requests get
+// max(1, threads / k) each (DESIGN.md, "Thread budget and small-work
+// cutoff").
+//
 // Observability rides the existing spine: every request lands in the
-// shared MetricsRegistry (mgko_solve_latency_ns histograms per route,
-// outcome counters) and opens a FlightRecorder span ("serve.solve", ...),
-// so /metrics, /v1/stats, the telemetry endpoints, and the crash black box
-// all see solve traffic with no extra wiring.
+// shared MetricsRegistry (mgko_solve_latency_ns and mgko_solve_team_threads
+// histograms per route, outcome counters) and opens a FlightRecorder span
+// ("serve.solve", ...), so /metrics, /v1/stats, the telemetry endpoints,
+// and the crash black box all see solve traffic with no extra wiring.
 #pragma once
 
 #include <atomic>
@@ -148,6 +154,9 @@ public:
         size_type cache_bytes{0};
         size_type queue_capacity{0};
         std::uint64_t queue_peak{0};
+        /// OpenMP team granted to the most recent /v1/solve request (0
+        /// before the first).
+        int team_threads{0};
     };
     Stats stats() const;
     /// Stats as a JSON object (the /v1/stats body).

@@ -143,21 +143,23 @@ void TriangularSolver<ValueType, IndexType, Lower>::apply_impl(
     };
 
     auto level_sweep = [&](const Executor* e) {
-        const int nt = mgko::kernels::exec_threads(e);
+        // Work per row: its mean stored nonzeros times the columns solved.
+        const auto row_work =
+            vec_cols * std::max<size_type>(nnz / std::max<size_type>(n, 1), 1);
         const auto levels = num_levels();
         for (size_type l = 0; l < levels; ++l) {
             const auto begin = level_offsets_[static_cast<std::size_t>(l)];
             const auto end = level_offsets_[static_cast<std::size_t>(l + 1)];
-#pragma omp parallel for num_threads(nt) if (nt > 1 && end - begin > 64)
-            for (size_type i = begin; i < end; ++i) {
-                trs_kernels::solve_row<ValueType, IndexType, Lower>(
-                    values, col_idxs, row_ptrs, dense_b->get_const_values(),
-                    dense_b->get_stride(), dense_x->get_values(),
-                    dense_x->get_stride(),
-                    static_cast<size_type>(
-                        level_rows_[static_cast<std::size_t>(i)]),
-                    vec_cols, unit);
-            }
+            const auto* rows = level_rows_.data() + begin;
+            mgko::kernels::parallel_for(
+                mgko::kernels::team_size(e, (end - begin) * row_work),
+                end - begin, [=](size_type i) {
+                    trs_kernels::solve_row<ValueType, IndexType, Lower>(
+                        values, col_idxs, row_ptrs,
+                        dense_b->get_const_values(), dense_b->get_stride(),
+                        dense_x->get_values(), dense_x->get_stride(),
+                        static_cast<size_type>(rows[i]), vec_cols, unit);
+                });
         }
         // Cost: stream the factor once, plus one launch per level beyond
         // the first (the latency wall of sparse triangular solves).

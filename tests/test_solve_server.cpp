@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <omp.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -501,6 +502,40 @@ TEST(SolveServer, StatsAndMetricsExposeTraffic)
     server->stop();
 }
 
+
+TEST(SolveServer, LoneRequestIsGrantedTheWholeMachine)
+{
+    // Requests share the cores through one thread budget; a solve with
+    // nothing else in flight gets every OpenMP thread, and the grant is
+    // visible in /v1/stats, the request ring and /metrics.
+    auto server = serve::SolveServer::start({});
+    const auto handle = upload_laplacian(server->port(), 16);
+    EXPECT_EQ(server->stats().team_threads, 0);  // no solve yet
+    Json solve = Json::make_object();
+    solve["operator"] = Json{handle};
+    solve["config"] = cg_config();
+    ASSERT_EQ(status_of(http_request(server->port(), "POST", "/v1/solve",
+                                     solve.dump())),
+              200);
+    const auto stats = Json::parse(
+        body_of(http_request(server->port(), "GET", "/v1/stats", "")));
+    EXPECT_EQ(stats.at("team_threads").as_int(), omp_get_max_threads());
+    const auto ring = Json::parse(body_of(
+        http_request(server->port(), "GET", "/v1/requests", "")));
+    bool found = false;
+    for (const auto& entry : ring.at("requests").elements()) {
+        if (entry.at("route").as_string() == "serve.solve") {
+            EXPECT_EQ(entry.at("team_threads").as_int(),
+                      omp_get_max_threads());
+            found = true;
+        }
+    }
+    EXPECT_TRUE(found);
+    const auto metrics = body_of(
+        http_request(server->port(), "GET", "/metrics", ""));
+    EXPECT_NE(metrics.find("mgko_solve_team_threads"), std::string::npos);
+    server->stop();
+}
 
 // --- request-scoped tracing ------------------------------------------------
 
