@@ -15,12 +15,17 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench/common/harness.hpp"
 #include "bindings/api.hpp"
 #include "bindings/registry.hpp"
 #include "config/json.hpp"
+#include "core/mtx_io.hpp"
 #include "log/flight_recorder.hpp"
 #include "log/metrics.hpp"
 #include "core/kernel_utils.hpp"
@@ -168,6 +173,71 @@ void BM_JsonDump(benchmark::State& state)
     }
 }
 BENCHMARK(BM_JsonDump);
+
+/// Matrix Market text of the 2D 5-point Poisson operator on an n x n grid
+/// in symmetric storage (lower triangle only), the way a client uploads it.
+std::string poisson_mtx_text(int n)
+{
+    std::string lines;
+    int lower = 0;
+    const auto line = [&](int row, int col, const char* value) {
+        lines += std::to_string(row) + ' ' + std::to_string(col) + ' ' +
+                 value + '\n';
+        ++lower;
+    };
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            const int row = i * n + j + 1;
+            if (i > 0) {
+                line(row, row - n, "-1");
+            }
+            if (j > 0) {
+                line(row, row - 1, "-1");
+            }
+            line(row, row, "4");
+        }
+    }
+    return "%%MatrixMarket matrix coordinate real symmetric\n" +
+           std::to_string(n * n) + ' ' + std::to_string(n * n) + ' ' +
+           std::to_string(lower) + '\n' + lines;
+}
+
+// The upload path of the solve server: Matrix Market text of the 16k-row
+// operator the serve_churn workload sends, parsed from a stream.
+void BM_ReadMtx(benchmark::State& state)
+{
+    const auto text = poisson_mtx_text(128);
+    for (auto _ : state) {
+        std::istringstream stream{text};
+        benchmark::DoNotOptimize(read_mtx(stream));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadMtx)->Unit(benchmark::kMillisecond);
+
+// A solve body's right-hand side and a reply's solution: 16k doubles
+// parsed from and dumped to JSON.
+void BM_JsonNumberArray(benchmark::State& state)
+{
+    std::mt19937_64 engine{42};
+    std::uniform_real_distribution<double> dist{-1.0, 1.0};
+    std::string text = "[";
+    char buffer[32];
+    for (int i = 0; i < 16384; ++i) {
+        std::snprintf(buffer, sizeof(buffer), i ? ",%.17g" : "%.17g",
+                      dist(engine));
+        text += buffer;
+    }
+    text += ']';
+    for (auto _ : state) {
+        const auto parsed = config::Json::parse(text);
+        benchmark::DoNotOptimize(parsed.dump());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonNumberArray)->Unit(benchmark::kMillisecond);
 
 void BM_GilContention(benchmark::State& state)
 {

@@ -1,10 +1,13 @@
 #include "config/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
+
+#include "core/parse_number.hpp"
 
 namespace mgko::config {
 
@@ -142,16 +145,23 @@ private:
         next();  // '"'
         std::string result;
         while (true) {
-            if (pos_ >= text_.size()) {
+            // Copy the run up to the next quote or escape in one go.
+            auto stop = pos_;
+            while (stop < text_.size() && text_[stop] != '"' &&
+                   text_[stop] != '\\') {
+                ++stop;
+            }
+            if (stop == text_.size()) {
+                pos_ = stop;
                 fail("unterminated string");
             }
-            const char c = next();
-            if (c == '"') {
+            result.append(text_, pos_, stop - pos_);
+            pos_ = stop;
+            if (next() == '"') {
                 return result;
             }
-            if (c != '\\') {
-                result.push_back(c);
-                continue;
+            if (pos_ >= text_.size()) {
+                fail("unterminated string");
             }
             const char esc = next();
             switch (esc) {
@@ -180,10 +190,15 @@ private:
                 result.push_back('\t');
                 break;
             case 'u': {
-                if (pos_ + 4 > text_.size()) {
-                    fail("truncated \\u escape");
+                unsigned code = 0;
+                const char* digits = text_.data() + pos_;
+                const char* digits_end =
+                    text_.data() + std::min(pos_ + 4, text_.size());
+                const auto parsed =
+                    std::from_chars(digits, digits_end, code, 16);
+                if (parsed.ec != std::errc{} || parsed.ptr != digits + 4) {
+                    fail("\\u escape needs four hex digits");
                 }
-                const auto code = std::stoul(text_.substr(pos_, 4), nullptr, 16);
                 pos_ += 4;
                 // Basic multilingual plane only; encode as UTF-8.
                 if (code < 0x80) {
@@ -224,23 +239,24 @@ private:
                 break;
             }
         }
-        const auto token = text_.substr(start, pos_ - start);
-        if (token.empty() || token == "-") {
-            fail("invalid number");
-        }
-        errno = 0;
-        char* end = nullptr;
-        if (is_real) {
-            const double v = std::strtod(token.c_str(), &end);
-            if (end != token.c_str() + token.size()) {
-                fail("invalid number: " + token);
+        // The token is read in place; it must be one number, whole.
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + pos_;
+        const auto check = [&](std::from_chars_result parsed) {
+            if (parsed.ec == std::errc::result_out_of_range) {
+                fail("number out of range: " + std::string{first, last});
             }
+            if (parsed.ec != std::errc{} || parsed.ptr != last) {
+                fail("invalid number: " + std::string{first, last});
+            }
+        };
+        if (is_real) {
+            double v = 0.0;
+            check(parse_real(first, last, v));
             return Json{v};
         }
-        const long long v = std::strtoll(token.c_str(), &end, 10);
-        if (end != token.c_str() + token.size()) {
-            fail("invalid number: " + token);
-        }
+        int64 v = 0;
+        check(parse_int(first, last, v));
         return Json{static_cast<std::int64_t>(v)};
     }
 
@@ -301,14 +317,23 @@ void dump_impl(std::string& out, const Json& value, int indent, int depth)
         out += std::to_string(value.as_int());
         break;
     case Json::kind::real: {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", value.as_double());
-        std::string s{buffer};
-        // Keep reals recognizable as reals.
-        if (s.find_first_of(".eE") == std::string::npos) {
-            s += ".0";
+        const double v = value.as_double();
+        // JSON has no spelling for inf or nan.
+        if (!std::isfinite(v)) {
+            out += "null";
+            break;
         }
-        out += s;
+        // Shortest text that parses back to the same double.
+        char buffer[32];
+        const auto printed = std::to_chars(buffer, buffer + sizeof(buffer), v);
+        const std::string_view text{buffer,
+                                    static_cast<std::size_t>(printed.ptr -
+                                                             buffer)};
+        out += text;
+        // Keep reals recognizable as reals.
+        if (text.find_first_of(".eE") == std::string_view::npos) {
+            out += ".0";
+        }
         break;
     }
     case Json::kind::string:

@@ -9,6 +9,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/matrix_data.hpp"
 #include "core/types.hpp"
@@ -16,9 +17,13 @@
 namespace mgko {
 
 
-/// Parses a Matrix Market stream into staging data (entries unsorted, as in
+/// Parses Matrix Market text into staging data (entries unsorted, as in
 /// the file; symmetric storage is expanded to general).  Throws FileError on
 /// malformed input.
+matrix_data<double, int64> parse_mtx(std::string_view text,
+                                     const std::string& path_for_errors);
+
+/// Reads the rest of `stream` and parses it with parse_mtx.
 matrix_data<double, int64> read_mtx(std::istream& stream,
                                     const std::string& path_for_errors = "<stream>");
 

@@ -43,6 +43,15 @@ public:
     {}
 };
 
+/// A declared operator too large to ever fit the cache: a client-visible
+/// 413, raised before any memory proportional to its size is committed.
+class PayloadTooLarge : public Error {
+public:
+    PayloadTooLarge(const std::string& file, int line, const std::string& what)
+        : Error(file, line, what)
+    {}
+};
+
 /// Size of one value/index pair for the configured types; used by the
 /// cache's byte estimate.
 size_type config_element_bytes(const Json& config)
@@ -51,14 +60,40 @@ size_type config_element_bytes(const Json& config)
            size_of(config::config_index_type(config));
 }
 
+/// Bytes per row (and per column) in the cache's estimate of a generated
+/// solver: its row pointers and the right-hand side and solution vectors.
+constexpr size_type bytes_per_row = 16;
+
+/// A body of a few bytes can declare any dimensions, and the first solve
+/// allocates row pointers and a default right-hand side sized from them.
+/// Refuse dimensions whose rows-proportional share of the cache estimate
+/// alone exceeds the whole cache budget.
+void ensure_dimensions_fit(size_type rows, size_type cols,
+                           size_type cache_capacity_bytes)
+{
+    const auto limit = cache_capacity_bytes / bytes_per_row;
+    if (rows > limit || cols > limit) {
+        throw PayloadTooLarge(
+            __FILE__, __LINE__,
+            "operator of " + std::to_string(rows) + " x " +
+                std::to_string(cols) + " needs more than the cache budget of " +
+                std::to_string(cache_capacity_bytes) + " bytes (at most " +
+                std::to_string(limit) + " rows and columns)");
+    }
+}
+
 /// Parses the matrix payload of an upload or inline-solve body: either a
 /// Matrix Market document under "mtx" or a triplet object under
-/// "triplet".  Throws BadParameter / FileError on malformed payloads.
-matrix_data<double, int64> parse_matrix_payload(const Json& body)
+/// "triplet".  Throws BadParameter / FileError on malformed payloads and
+/// PayloadTooLarge on dimensions beyond the cache budget.
+matrix_data<double, int64> parse_matrix_payload(const Json& body,
+                                                size_type cache_capacity_bytes)
 {
     if (body.contains("mtx")) {
-        std::istringstream stream{body.at("mtx").as_string()};
-        return read_mtx(stream, "<upload>");
+        auto data = parse_mtx(body.at("mtx").as_string(), "<upload>");
+        ensure_dimensions_fit(data.size.rows, data.size.cols,
+                              cache_capacity_bytes);
+        return data;
     }
     if (!body.contains("triplet")) {
         throw BadParameter(__FILE__, __LINE__,
@@ -69,6 +104,8 @@ matrix_data<double, int64> parse_matrix_payload(const Json& body)
     const auto cols = triplet.at("cols").as_int();
     MGKO_ENSURE(rows > 0 && cols > 0,
                 "'triplet' needs positive 'rows' and 'cols'");
+    ensure_dimensions_fit(static_cast<size_type>(rows),
+                          static_cast<size_type>(cols), cache_capacity_bytes);
     matrix_data<double, int64> data{
         dim2{static_cast<size_type>(rows), static_cast<size_type>(cols)}};
     for (const auto& entry : triplet.at("entries").elements()) {
@@ -565,6 +602,9 @@ std::string SolveServer::handle(const HttpRequest& request)
     } catch (const NotFoundError& e) {
         status = 404;
         response = json_response(404, error_json(e.what()));
+    } catch (const PayloadTooLarge& e) {
+        status = 413;
+        response = json_response(413, error_json(e.what()));
     } catch (const Error& e) {
         // The repo's own exceptions are client errors: malformed configs,
         // malformed matrices, mismatched shapes.
@@ -682,7 +722,7 @@ std::string SolveServer::requests_json(std::size_t limit,
 std::string SolveServer::handle_upload(const HttpRequest& request)
 {
     auto body = Json::parse(request.body);
-    auto data = parse_matrix_payload(body);
+    auto data = parse_matrix_payload(body, options_.cache_capacity_bytes);
     const auto staging_bytes =
         static_cast<size_type>(data.entries.size()) *
             sizeof(matrix_data<double, int64>::entry) +
@@ -750,7 +790,8 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
             cache_outcome = "hit";
         }
     } else {
-        inline_data = parse_matrix_payload(body);
+        inline_data =
+            parse_matrix_payload(body, options_.cache_capacity_bytes);
     }
 
     size_type rows = entry ? entry->data.size.rows : inline_data.size.rows;
@@ -777,7 +818,7 @@ std::string SolveServer::handle_solve(const HttpRequest& request)
         generated->bytes =
             static_cast<size_type>(entry->data.num_stored()) *
                 config_element_bytes(config) * 3 +
-            rows * 16 + 4096;
+            rows * bytes_per_row + 4096;
         {
             std::lock_guard<std::mutex> guard{impl_->cache_mutex};
             auto [it, inserted] =

@@ -1,6 +1,10 @@
 // JSON parser/serializer and generic config-solver tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
 #include "matrix/csr.hpp"
@@ -26,6 +30,27 @@ TEST(Json, ParsesScalars)
     EXPECT_DOUBLE_EQ(Json::parse("1e-6").as_double(), 1e-6);
     EXPECT_DOUBLE_EQ(Json::parse("-2.5E+3").as_double(), -2500.0);
     EXPECT_EQ(Json::parse("\"hello\"").as_string(), "hello");
+    // The number grammar kept from the strtod/strtoll reader: a leading
+    // '+', -0, exponents in either case, and an underflowing real reading
+    // as a signed zero.
+    EXPECT_EQ(Json::parse("+5").as_int(), 5);
+    EXPECT_TRUE(Json::parse("+5").is_integer());
+    EXPECT_DOUBLE_EQ(Json::parse("+2.5e1").as_double(), 25.0);
+    EXPECT_EQ(Json::parse("-0").as_int(), 0);
+    EXPECT_TRUE(std::signbit(Json::parse("-0.0").as_double()));
+    EXPECT_DOUBLE_EQ(Json::parse("1e3").as_double(), 1000.0);
+    EXPECT_DOUBLE_EQ(Json::parse("1E3").as_double(), 1000.0);
+    EXPECT_DOUBLE_EQ(Json::parse("1e+3").as_double(), 1000.0);
+    const auto tiny = Json::parse("1e-400").as_double();
+    EXPECT_EQ(tiny, 0.0);
+    EXPECT_FALSE(std::signbit(tiny));
+    const auto negative_tiny = Json::parse("-1e-400").as_double();
+    EXPECT_EQ(negative_tiny, 0.0);
+    EXPECT_TRUE(std::signbit(negative_tiny));
+    EXPECT_EQ(Json::parse("9223372036854775807").as_int(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+              std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Json, ParsesNestedStructures)
@@ -77,6 +102,42 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(Json::parse("\"unterminated"), BadParameter);
     EXPECT_THROW(Json::parse("12 34"), BadParameter);
     EXPECT_THROW(Json::parse("tru"), BadParameter);
+    // Overflow is an error, not inf or a clamped INT64_MAX.
+    EXPECT_THROW(Json::parse("1e400"), BadParameter);
+    EXPECT_THROW(Json::parse("[-1e400]"), BadParameter);
+    EXPECT_THROW(Json::parse("99999999999999999999"), BadParameter);
+    EXPECT_THROW(Json::parse("-99999999999999999999"), BadParameter);
+    EXPECT_THROW(Json::parse("+-5"), BadParameter);
+    EXPECT_THROW(Json::parse("1e"), BadParameter);
+    EXPECT_THROW(Json::parse("--5"), BadParameter);
+    // A \u escape takes exactly four hex digits.
+    EXPECT_THROW(Json::parse(R"("\u00zz")"), BadParameter);
+    EXPECT_THROW(Json::parse(R"("\u-041")"), BadParameter);
+    EXPECT_THROW(Json::parse(R"("\u12")"), BadParameter);
+    EXPECT_THROW(Json::parse(R"("abc\)"), BadParameter);
+}
+
+TEST(Json, DumpsShortestRoundTripRealsAndNonFiniteAsNull)
+{
+    EXPECT_EQ(Json{0.1}.dump(), "0.1");
+    EXPECT_EQ(Json{2.0}.dump(), "2.0");
+    EXPECT_EQ(Json{-0.0}.dump(), "-0.0");
+    EXPECT_EQ(Json{1e-7}.dump(), "1e-07");
+    EXPECT_TRUE(Json::parse(Json{1e16}.dump()).is_real());
+    EXPECT_EQ(Json::parse(Json{0.1 + 0.2}.dump()).as_double(), 0.1 + 0.2);
+
+    // JSON has no inf or nan; they go out as null and parse back as null.
+    auto doc = Json::make_object();
+    doc["inf"] = Json{std::numeric_limits<double>::infinity()};
+    doc["ninf"] = Json{-std::numeric_limits<double>::infinity()};
+    doc["nan"] = Json{std::numeric_limits<double>::quiet_NaN()};
+    doc["x"] = Json{1.5};
+    EXPECT_EQ(doc.dump(), R"({"inf":null,"nan":null,"ninf":null,"x":1.5})");
+    const auto back = Json::parse(doc.dump(2));
+    EXPECT_TRUE(back.at("inf").is_null());
+    EXPECT_TRUE(back.at("ninf").is_null());
+    EXPECT_TRUE(back.at("nan").is_null());
+    EXPECT_EQ(back.at("x").as_double(), 1.5);
 }
 
 TEST(Json, ObjectAccessHelpers)

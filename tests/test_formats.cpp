@@ -3,7 +3,9 @@
 // swept across all executors and value/index type combinations.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/mtx_io.hpp"
@@ -668,6 +670,31 @@ TEST(MtxIo, RejectsMalformedInput)
         "3037000500 3037000500\n"
         "1.0\n"};
     EXPECT_THROW(read_mtx(overflowing_array), FileError);
+    // Values the stream extractor never read stay rejected: inf, nan, an
+    // overflowing real, an overflowing index, and a dangling exponent.
+    for (const char* entry : {"1 1 inf", "1 1 nan", "1 1 -inf", "1 1 1e400",
+                              "99999999999999999999 1 1.0", "1 1 1e",
+                              "1 1 2E+", "+-1 1 1.0"}) {
+        const auto text =
+            std::string{"%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 1\n"} +
+            entry + "\n";
+        EXPECT_THROW(parse_mtx(text, "<test>"), FileError) << entry;
+    }
+    // ...and what it did read still parses: a leading '+', an underflow to
+    // a signed zero, and trailing characters after the last number.
+    const auto kept = parse_mtx(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 3\n"
+        "+1 1 +2.5\n"
+        "2 2 -1e-400\n"
+        "2 1 1e5e3 trailing\n",
+        "<test>");
+    ASSERT_EQ(kept.entries.size(), 3u);
+    EXPECT_EQ(kept.entries[0].value, 2.5);
+    EXPECT_EQ(kept.entries[1].value, 0.0);
+    EXPECT_TRUE(std::signbit(kept.entries[1].value));
+    EXPECT_EQ(kept.entries[2].value, 1e5);
 }
 
 TEST(MtxIo, ToleratesWindowsLineEndings)

@@ -447,6 +447,61 @@ TEST(SolveServer, MtxHeaderLargerThanItsBodyIsATyped400)
     server->stop();
 }
 
+TEST(SolveServer, NonFiniteResidualReadsNullInAParseableReply)
+{
+    // b = 1e308 overflows the residual norm to inf; JSON has no spelling
+    // for it, so the reply says null instead of breaking the wire format.
+    auto server = serve::SolveServer::start({});
+    const auto response = http_request(
+        server->port(), "POST", "/v1/solve",
+        R"({"triplet": {"rows": 1, "cols": 1, "entries": [[0, 0, 1.0]]},)"
+        R"( "config": {"type": "solver::Cg", "max_iters": 10},)"
+        R"( "b": [1e308]})");
+    ASSERT_EQ(status_of(response), 200) << response;
+    const auto result = Json::parse(body_of(response));
+    EXPECT_TRUE(result.at("residual_norm").is_null()) << response;
+    ASSERT_EQ(result.at("x").size(), 1);
+    server->stop();
+}
+
+TEST(SolveServer, DimensionsBeyondTheCacheBudgetAreATyped413)
+{
+    // A body of a few bytes declaring 2^40 rows (or columns) would commit
+    // row pointers and a default right-hand side of that size on its first
+    // solve; it is refused before that, on upload and inline alike.
+    auto server = serve::SolveServer::start({});
+    for (const char* mtx : {"%%MatrixMarket matrix coordinate real general\n"
+                            "1099511627776 1 1\n1 1 1.0\n",
+                            "%%MatrixMarket matrix coordinate real general\n"
+                            "1 1099511627776 1\n1 1 1.0\n"}) {
+        Json upload = Json::make_object();
+        upload["mtx"] = Json{std::string{mtx}};
+        const auto response = http_request(server->port(), "POST",
+                                           "/v1/operators", upload.dump());
+        EXPECT_EQ(status_of(response), 413) << response;
+        EXPECT_NE(Json::parse(body_of(response)).at("error").as_string(),
+                  "");
+    }
+    const auto inline_solve = http_request(
+        server->port(), "POST", "/v1/solve",
+        R"({"triplet": {"rows": 1099511627776, "cols": 1099511627776,)"
+        R"( "entries": [[0, 0, 1.0]]},)"
+        R"( "config": {"type": "solver::Cg", "max_iters": 10}})");
+    EXPECT_EQ(status_of(inline_solve), 413) << inline_solve;
+    EXPECT_EQ(server->stats().cache_operators, 0u);
+
+    // The server keeps serving.
+    const auto handle = upload_laplacian(server->port(), 16);
+    Json solve = Json::make_object();
+    solve["operator"] = Json{handle};
+    solve["config"] = cg_config();
+    const auto response =
+        http_request(server->port(), "POST", "/v1/solve", solve.dump());
+    ASSERT_EQ(status_of(response), 200) << response;
+    EXPECT_TRUE(Json::parse(body_of(response)).at("converged").as_bool());
+    server->stop();
+}
+
 TEST(SolveServer, RoutingErrorsAreTypedJson)
 {
     // handle() is exposed precisely so error paths need no sockets.
