@@ -18,6 +18,7 @@
 
 #include "baselines/baselines.hpp"
 #include "bench/common/harness.hpp"
+#include "serve/solve_server.hpp"
 #include "sim/machine_model.hpp"
 #include "solver/cg.hpp"
 #include "solver/cgs.hpp"
@@ -53,6 +54,8 @@ double mgko_seconds_per_iter(std::shared_ptr<Executor> exec,
 
 int main()
 {
+    // MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT serve the run live.
+    serve::start_from_env();
     auto device = CudaExecutor::create();
     const auto iters = static_cast<size_type>(
         sim::env_override("MGKO_SOLVER_ITERS", 50.0));

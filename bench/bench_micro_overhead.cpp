@@ -32,6 +32,7 @@
 #include "matrix/csr.hpp"
 #include "matrix/csr_kernels.hpp"
 #include "matrix/dense.hpp"
+#include "serve/solve_server.hpp"
 #include "solver/cg.hpp"
 #include "solver/gmres.hpp"
 #include "stop/criterion.hpp"
@@ -543,9 +544,12 @@ void measure_flight_recorder_overhead()
 // bind.* tags (per-name wall time and the GIL-wait/lookup/boxing/
 // interpreter breakdown) and the registry is dumped at exit.  Unset, no
 // logger is attached and the measured numbers are unaffected.
+// MGKO_TELEMETRY_PORT serves the run live: executors created from here on
+// feed the scraped registry, the bound calls do not.
 int main(int argc, char** argv)
 {
     auto metrics = log::metrics_from_env();
+    serve::start_from_env();
     if (metrics) {
         bind::add_logger(metrics);
     }

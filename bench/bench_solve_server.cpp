@@ -51,7 +51,6 @@
 #include "log/sampling_profiler.hpp"
 #include "log/trace_context.hpp"
 #include "serve/solve_server.hpp"
-#include "serve/telemetry_server.hpp"
 
 using namespace mgko;
 using config::Json;
@@ -232,12 +231,11 @@ int main(int argc, char** argv)
 
     // Telemetry must be live before the server creates its executor so the
     // shared metrics registry records executor-level series — the global
-    // side of the request-attribution reconciliation below.  Honour a
-    // CI-provided fixed port, fall back to an ephemeral one.
-    if (const char* env_port = std::getenv("MGKO_TELEMETRY_PORT");
-        env_port != nullptr && *env_port != '\0') {
-        serve::telemetry_from_env();
-    } else {
+    // side of the request-attribution reconciliation below.  Honour the
+    // MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT servers, fall back to an
+    // ephemeral telemetry port.
+    serve::start_from_env();
+    if (!serve::telemetry_active()) {
         serve::telemetry_start(0);
     }
 

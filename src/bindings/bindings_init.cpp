@@ -25,7 +25,6 @@
 #include "log/sampling_profiler.hpp"
 #include "matrix/convolution.hpp"
 #include "serve/solve_server.hpp"
-#include "serve/telemetry_server.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
@@ -994,6 +993,9 @@ void ensure_bindings_registered()
         // call lands in the flight recorder's ring unless the user set
         // MGKO_FLIGHT_RECORDER=0.
         add_logger(log::flight_recorder_from_env());
+        // MGKO_TELEMETRY_PORT / MGKO_SOLVE_PORT: the bound module is the
+        // host's entry point, so it is where the port variables apply.
+        serve::start_from_env();
     });
 }
 

@@ -102,6 +102,8 @@ private:
 
 /// Registers the full pre-instantiated binding surface (all value/index/
 /// format combinations).  Idempotent; called lazily by the API layer.
+/// The first call also starts the servers MGKO_TELEMETRY_PORT and
+/// MGKO_SOLVE_PORT name (serve::start_from_env).
 void ensure_bindings_registered();
 
 

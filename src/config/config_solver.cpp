@@ -22,8 +22,6 @@
 #include "preconditioner/ilu.hpp"
 #include "preconditioner/jacobi.hpp"
 #include "reorder/reorder.hpp"
-#include "serve/solve_server.hpp"
-#include "serve/telemetry_server.hpp"
 #include "solver/bicgstab.hpp"
 #include "solver/cg.hpp"
 #include "solver/cgs.hpp"
@@ -67,7 +65,7 @@ std::vector<std::string> solver_config_keys(
     std::vector<std::string> valid{
         "type",          "value_type", "index_type", "format",
         "reorder",       "slice_size", "sorting_window", "trace_sample",
-        "telemetry",     "solve_server", "sampling_hz", "hw_counters"};
+        "sampling_hz",   "hw_counters"};
     valid.insert(valid.end(), extra.begin(), extra.end());
     return valid;
 }
@@ -424,7 +422,7 @@ std::shared_ptr<const batch::BatchLinOpFactory> parse_batch_factory_typed(
         config,
         {"type", "batch", "value_type", "index_type", "criteria", "max_iters",
          "reduction_factor", "baseline", "preconditioner", "trace_sample",
-         "telemetry", "solve_server", "sampling_hz", "hw_counters"},
+         "sampling_hz", "hw_counters"},
         "batched solver \"" + type + "\"");
 
     auto criteria = parse_criteria(config);
@@ -508,42 +506,6 @@ std::shared_ptr<const LinOpFactory> parse_factory(
 
 namespace {
 
-/// A `"telemetry"` key starts the process-wide exposition server from
-/// config alone: `true` binds an ephemeral port, a number binds that
-/// port.  Idempotent — a second solver config sees the running server.
-void apply_telemetry_key(const Json& config)
-{
-    if (!config.contains("telemetry")) {
-        return;
-    }
-    const auto& value = config.at("telemetry");
-    if (value.is_bool()) {
-        if (value.as_bool()) {
-            serve::telemetry_start(0);
-        }
-        return;
-    }
-    serve::telemetry_start(static_cast<int>(value.as_int()));
-}
-
-/// A `"solve_server"` key starts the process-wide solve-as-a-service
-/// endpoint the same way: `true` for an ephemeral port, a number for a
-/// concrete one.
-void apply_solve_server_key(const Json& config)
-{
-    if (!config.contains("solve_server")) {
-        return;
-    }
-    const auto& value = config.at("solve_server");
-    if (value.is_bool()) {
-        if (value.as_bool()) {
-            serve::solve_server_start(0);
-        }
-        return;
-    }
-    serve::solve_server_start(static_cast<int>(value.as_int()));
-}
-
 /// A `"trace_sample"` key sets the process-wide request-trace sampling
 /// probability (the config-layer twin of MGKO_TRACE_SAMPLE; see
 /// log/trace_context.hpp).  Must be a number in [0, 1].
@@ -617,8 +579,6 @@ std::unique_ptr<LinOp> config_solver(const Json& config,
 {
     auto solver =
         parse_factory(config, std::move(exec))->generate(std::move(system));
-    apply_telemetry_key(config);
-    apply_solve_server_key(config);
     apply_trace_sample_key(config);
     apply_sampling_key(config);
     apply_hw_counters_key(config);
@@ -727,8 +687,6 @@ std::unique_ptr<batch::BatchLinOp> batch_config_solver(
 {
     auto solver = parse_batch_factory(config, std::move(exec))
                       ->generate(std::move(system));
-    apply_telemetry_key(config);
-    apply_solve_server_key(config);
     apply_trace_sample_key(config);
     apply_sampling_key(config);
     apply_hw_counters_key(config);

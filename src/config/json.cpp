@@ -8,10 +8,16 @@
 #include <string_view>
 
 #include "core/parse_number.hpp"
+#include "log/dump_path.hpp"
 
 namespace mgko::config {
 
 namespace {
+
+/// Deepest array/object nesting a document may have.  The parser recurses
+/// once per level, so an unbounded depth lets a few MiB of '[' overflow
+/// the stack; no config or request body comes near this.
+constexpr int max_depth = 512;
 
 class Parser {
 public:
@@ -68,9 +74,16 @@ private:
         skip_whitespace();
         switch (peek()) {
         case '{':
-            return parse_object();
-        case '[':
-            return parse_array();
+        case '[': {
+            if (depth_ == max_depth) {
+                fail("nesting deeper than " + std::to_string(max_depth) +
+                     " levels");
+            }
+            ++depth_;
+            auto result = peek() == '{' ? parse_object() : parse_array();
+            --depth_;
+            return result;
+        }
         case '"':
             return Json{parse_string()};
         case 't':
@@ -148,12 +161,18 @@ private:
             // Copy the run up to the next quote or escape in one go.
             auto stop = pos_;
             while (stop < text_.size() && text_[stop] != '"' &&
-                   text_[stop] != '\\') {
+                   text_[stop] != '\\' &&
+                   static_cast<unsigned char>(text_[stop]) >= 0x20) {
                 ++stop;
             }
             if (stop == text_.size()) {
                 pos_ = stop;
                 fail("unterminated string");
+            }
+            if (static_cast<unsigned char>(text_[stop]) < 0x20) {
+                // RFC 8259: control characters must be escaped.
+                pos_ = stop;
+                fail("raw control character in string");
             }
             result.append(text_, pos_, stop - pos_);
             pos_ = stop;
@@ -262,6 +281,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_{0};
+    int depth_{0};
 };
 
 
@@ -272,27 +292,7 @@ private:
 void dump_string(std::string& out, const std::string& s)
 {
     out += '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            out += c;
-        }
-    }
+    out += log::json_escape(s);
     out += '"';
 }
 

@@ -55,7 +55,13 @@ public:
     std::int64_t as_int() const
     {
         if (is_real()) {
-            return static_cast<std::int64_t>(std::get<double>(value_));
+            // Casting a double outside [-2^63, 2^63) is undefined.
+            const double v = std::get<double>(value_);
+            if (!(v >= -0x1p63 && v < 0x1p63)) {
+                throw BadParameter(__FILE__, __LINE__,
+                                   "JSON number is out of the integer range");
+            }
+            return static_cast<std::int64_t>(v);
         }
         return expect<std::int64_t>("integer");
     }

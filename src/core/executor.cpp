@@ -13,8 +13,6 @@
 #include "log/sampling_profiler.hpp"
 #include "log/trace_context.hpp"
 #include "log/work_model.hpp"
-#include "serve/solve_server.hpp"
-#include "serve/telemetry_server.hpp"
 
 namespace mgko {
 
@@ -38,22 +36,18 @@ double now_wall_ns()
 /// process-wide flight recorder (always on unless MGKO_FLIGHT_RECORDER=0
 /// without MGKO_TRACE) and the process-wide metrics logger when
 /// MGKO_METRICS is set or the telemetry server is live, so /metrics has
-/// executor-level series to serve.  MGKO_TELEMETRY_PORT and
-/// MGKO_FLIGHT_POSTMORTEM take effect on the first executor creation.
-/// add_logger deduplicates, so repeated attachment points are harmless.
+/// executor-level series to serve.  MGKO_FLIGHT_POSTMORTEM takes effect on
+/// the first executor creation.  Executors start no servers: the port
+/// variables are read by serve::start_from_env().  add_logger
+/// deduplicates, so repeated attachment points are harmless.
 template <typename ExecPtr>
 ExecPtr with_env_observers(ExecPtr exec)
 {
     log::install_crash_handler_from_env();
     log::sampling_from_env();
     log::hw_counters_from_env();
-    serve::telemetry_from_env();
-    serve::solve_server_from_env();
     exec->add_logger(log::metrics_from_env());
     exec->add_logger(log::flight_recorder_from_env());
-    if (serve::telemetry_active()) {
-        exec->add_logger(log::shared_metrics());
-    }
     return exec;
 }
 

@@ -66,6 +66,9 @@ std::string json_escape(std::string_view text)
         case '\n':
             out += "\\n";
             break;
+        case '\r':
+            out += "\\r";
+            break;
         case '\t':
             out += "\\t";
             break;

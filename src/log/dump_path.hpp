@@ -30,8 +30,9 @@ bool dump_to_stdout(const std::string& dest);
 std::string resolve_dump_path(const std::string& dest, const std::string& kind,
                               const std::string& name, const std::string& ext);
 
-/// `text` escaped for use inside a JSON string literal (quotes,
-/// backslashes, and control characters).
+/// `text` escaped for use inside a JSON string literal: quotes,
+/// backslashes, \n, \r and \t, and every other byte below 0x20 as
+/// \u00XX.  The one JSON string escaper; config::Json::dump() uses it too.
 std::string json_escape(std::string_view text);
 
 

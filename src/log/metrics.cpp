@@ -1,6 +1,7 @@
 #include "log/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -566,13 +567,27 @@ std::shared_ptr<MetricsLogger> shared_metrics()
 }
 
 
+namespace {
+
+std::atomic<bool> metrics_served{false};
+
+}  // namespace
+
+
 std::shared_ptr<MetricsLogger> metrics_from_env()
 {
     const char* value = std::getenv("MGKO_METRICS");
-    if (value == nullptr || *value == '\0') {
+    if ((value == nullptr || *value == '\0') &&
+        !metrics_served.load(std::memory_order_acquire)) {
         return nullptr;
     }
     return shared_metrics();
+}
+
+
+void set_metrics_served(bool served)
+{
+    metrics_served.store(served, std::memory_order_release);
 }
 
 

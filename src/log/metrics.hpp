@@ -214,9 +214,15 @@ private:
 std::shared_ptr<MetricsLogger> shared_metrics();
 
 /// Returns shared_metrics() when the MGKO_METRICS environment variable is
-/// set (to anything non-empty), nullptr otherwise.  Executor factories
-/// attach the result to every new executor.
+/// set (to anything non-empty) or while the metrics are served (see
+/// set_metrics_served), nullptr otherwise.  Executor factories attach the
+/// result to every new executor.
 std::shared_ptr<MetricsLogger> metrics_from_env();
+
+/// Marks the shared registry as served over /metrics: the process-wide
+/// telemetry server sets it while it runs, so executors created meanwhile
+/// feed the registry it scrapes.
+void set_metrics_served(bool served);
 
 /// Writes the registry's Prometheus text (kind "metrics", .txt) and its
 /// profile view (kind "profile", .json) where MGKO_METRICS points: "-",

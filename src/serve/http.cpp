@@ -276,8 +276,6 @@ const char* http_status_text(int status)
         return "Payload Too Large";
     case 429:
         return "Too Many Requests";
-    case 431:
-        return "Request Header Fields Too Large";
     case 500:
         return "Internal Server Error";
     case 503:
@@ -315,6 +313,13 @@ std::string json_response(int status, const config::Json& body,
 {
     return http_response(status, "application/json", body.dump() + "\n",
                          extra_headers);
+}
+
+
+int response_status(const std::string& response)
+{
+    // "HTTP/1.0 NNN ..."
+    return response.size() > 12 ? std::atoi(response.c_str() + 9) : 0;
 }
 
 

@@ -1,8 +1,8 @@
 // Shared POSIX HTTP plumbing for the serve:: layer.
 //
-// TelemetryServer proved a dependency-free HTTP endpoint can live in-tree;
-// SolveServer put real traffic on it.  Both now share the hardened helpers
-// here instead of each open-coding recv/send loops:
+// The serve layer's one Listener (serve/solve_server.hpp) and the routes
+// it runs share the hardened helpers here instead of open-coding recv/send
+// loops:
 //
 //   * send_all()          writes a full response even when the socket is
 //                         non-blocking, the send buffer is tiny, or a
@@ -69,7 +69,7 @@ struct HttpRequest {
 enum class read_result {
     ok,         ///< a complete request was parsed
     timeout,    ///< the deadline expired before the request completed (408)
-    too_large,  ///< header block or body exceeded its bound (431 / 413)
+    too_large,  ///< header block or body exceeded its bound (413)
     closed,     ///< the peer closed before sending a complete request
     malformed,  ///< bytes arrived but do not parse as an HTTP request (400)
     error,      ///< a socket error other than EINTR/EAGAIN
@@ -118,6 +118,10 @@ config::Json error_json(const std::string& message);
 /// newline so curl output stays readable).
 std::string json_response(int status, const config::Json& body,
                           const std::string& extra_headers = {});
+
+/// The status code of a formatted response ("HTTP/1.0 NNN ..."); 0 when
+/// `response` is not one.
+int response_status(const std::string& response);
 
 /// Inserts one "Name: value\r\n" header line into an already formatted
 /// response, just before the blank line ending the header block.  Lets a

@@ -6,15 +6,11 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <list>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <vector>
 
 #include "config/config_solver.hpp"
 #include "config/json.hpp"
@@ -27,6 +23,7 @@
 #include "log/metrics.hpp"
 #include "log/sampling_profiler.hpp"
 #include "log/trace_context.hpp"
+#include "serve/telemetry.hpp"
 
 namespace mgko::serve {
 
@@ -176,22 +173,6 @@ struct SolveServer::Impl {
     size_type cache_bytes{0};
     std::uint64_t next_handle{0};
 
-    // --- request queue ---
-    /// One accepted connection awaiting a worker.  The acceptor captures
-    /// its trace context at enqueue time and the worker re-enters it
-    /// before serving, so request-scoped attribution survives the
-    /// accept -> queue -> worker-pool thread hop explicitly instead of
-    /// leaking whatever context the worker last held.
-    struct pending {
-        int fd{-1};
-        log::TraceContext ambient{};
-    };
-    std::mutex queue_mutex;
-    std::condition_variable queue_cv;
-    std::deque<pending> queue;
-    bool draining{false};
-    std::vector<std::thread> workers;
-
     // --- recent-request ring (GET /v1/requests) ---
     /// One served request's summary: identity plus the cost attributed to
     /// it while its context was in scope.
@@ -225,15 +206,12 @@ struct SolveServer::Impl {
     std::atomic<std::uint64_t> ok{0};
     std::atomic<std::uint64_t> client_errors{0};
     std::atomic<std::uint64_t> server_errors{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> send_failures{0};
     std::atomic<std::uint64_t> uploads{0};
     std::atomic<std::uint64_t> solves{0};
     std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<std::uint64_t> cache_evictions{0};
     std::atomic<std::uint64_t> solver_generations{0};
-    std::atomic<std::uint64_t> queue_peak{0};
 
     /// Moves `handle` to the back (most recently used) of the LRU list.
     /// Caller holds cache_mutex.
@@ -269,59 +247,62 @@ struct SolveServer::Impl {
 };
 
 
-SolveServer::~SolveServer() { stop(); }
+Listener::~Listener() { stop(); }
 
 
-std::unique_ptr<SolveServer> SolveServer::start(SolveServerOptions options)
+std::unique_ptr<Listener> Listener::start(const SolveServerOptions& options,
+                                          Handler handler)
 {
-    MGKO_ENSURE(options.num_workers > 0, "solve server needs >= 1 worker");
-    MGKO_ENSURE(options.queue_capacity > 0,
-                "solve server needs a queue of >= 1");
-    std::unique_ptr<SolveServer> server{new SolveServer{}};
-    server->options_ = std::move(options);
-    server->impl_ = std::make_unique<Impl>();
-    server->impl_->exec = OmpExecutor::create();
+    // htons() would silently wrap a port beyond 16 bits.
+    MGKO_ENSURE(options.port >= 0 && options.port <= 65535,
+                "listener port must be in [0, 65535]");
+    MGKO_ENSURE(options.num_workers > 0, "listener needs >= 1 worker");
+    MGKO_ENSURE(options.queue_capacity > 0, "listener needs a queue of >= 1");
+    std::unique_ptr<Listener> listener{new Listener{}};
+    listener->options_ = options;
+    listener->handler_ = std::move(handler);
 
-    server->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    MGKO_ENSURE(server->listen_fd_ >= 0, "solve server: cannot create socket");
+    listener->listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    MGKO_ENSURE(listener->listen_fd_ >= 0, "listener: cannot create socket");
     const int reuse = 1;
-    ::setsockopt(server->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
+    ::setsockopt(listener->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
                  sizeof(reuse));
     sockaddr_in address{};
     address.sin_family = AF_INET;
     address.sin_addr.s_addr = htonl(INADDR_ANY);
-    address.sin_port =
-        htons(static_cast<std::uint16_t>(server->options_.port));
-    if (::bind(server->listen_fd_,
+    address.sin_port = htons(static_cast<std::uint16_t>(options.port));
+    if (::bind(listener->listen_fd_,
                reinterpret_cast<const sockaddr*>(&address),
                sizeof(address)) != 0 ||
-        ::listen(server->listen_fd_,
-                 static_cast<int>(server->options_.queue_capacity)) != 0) {
-        ::close(server->listen_fd_);
-        server->listen_fd_ = -1;
-        MGKO_ENSURE(false, "solve server: cannot bind port " +
-                               std::to_string(server->options_.port));
+        ::listen(listener->listen_fd_,
+                 static_cast<int>(options.queue_capacity)) != 0) {
+        ::close(listener->listen_fd_);
+        listener->listen_fd_ = -1;
+        MGKO_ENSURE(false, "listener: cannot bind port " +
+                               std::to_string(options.port));
     }
     socklen_t length = sizeof(address);
-    ::getsockname(server->listen_fd_,
+    ::getsockname(listener->listen_fd_,
                   reinterpret_cast<sockaddr*>(&address), &length);
-    server->port_ = static_cast<int>(ntohs(address.sin_port));
+    listener->port_ = static_cast<int>(ntohs(address.sin_port));
 
-    server->accepting_.store(true, std::memory_order_release);
-    for (size_type w = 0; w < server->options_.num_workers; ++w) {
-        server->impl_->workers.emplace_back(
-            [raw = server.get()] { raw->worker_loop(); });
+    listener->accepting_.store(true, std::memory_order_release);
+    for (size_type w = 0; w < options.num_workers; ++w) {
+        listener->workers_.emplace_back(
+            [raw = listener.get()] { raw->worker_loop(); });
     }
-    server->acceptor_ =
-        std::thread{[raw = server.get()] { raw->accept_loop(); }};
-    return server;
+    listener->acceptor_ =
+        std::thread{[raw = listener.get()] { raw->accept_loop(); }};
+    return listener;
 }
 
 
-void SolveServer::accept_loop()
+void Listener::accept_loop()
 {
     while (accepting_.load(std::memory_order_acquire)) {
         pollfd pfd{listen_fd_, POLLIN, 0};
+        // A bounded poll keeps stop() latency under ~100ms without
+        // needing a self-pipe.
         const int ready = ::poll(&pfd, 1, 100);
         if (ready <= 0 || (pfd.revents & POLLIN) == 0) {
             continue;
@@ -333,36 +314,30 @@ void SolveServer::accept_loop()
         set_nonblocking(client);
         bool enqueued = false;
         {
-            std::lock_guard<std::mutex> guard{impl_->queue_mutex};
-            if (impl_->queue.size() <
+            std::lock_guard<std::mutex> guard{queue_mutex_};
+            if (queue_.size() <
                 static_cast<std::size_t>(options_.queue_capacity)) {
                 // Capture the acceptor's context for the worker to
                 // restore; the request's own traceparent (parsed on the
                 // worker once the headers are read) then nests under it.
-                impl_->queue.push_back(
-                    {client, log::current_trace_context()});
-                const auto depth =
-                    static_cast<std::uint64_t>(impl_->queue.size());
-                auto& peak = impl_->queue_peak;
-                std::uint64_t seen = peak.load(std::memory_order_relaxed);
+                queue_.push_back({client, log::current_trace_context()});
+                const auto depth = static_cast<std::uint64_t>(queue_.size());
+                auto seen = queue_peak_.load(std::memory_order_relaxed);
                 while (seen < depth &&
-                       !peak.compare_exchange_weak(
+                       !queue_peak_.compare_exchange_weak(
                            seen, depth, std::memory_order_relaxed)) {
                 }
                 enqueued = true;
             }
         }
         if (enqueued) {
-            impl_->queue_cv.notify_one();
+            queue_cv_.notify_one();
             continue;
         }
         // Backpressure: answer 429 immediately instead of queueing
         // unboundedly.  The response is small; a short send deadline keeps
         // the acceptor responsive even against a stalled client.
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-        log::shared_metrics()->registry().inc_counter(
-            "mgko_solve_requests_total", "serve.rejected");
+        rejected_.fetch_add(1, std::memory_order_relaxed);
         send_all(client,
                  json_response(429,
                                error_json("server saturated, retry later"),
@@ -373,20 +348,19 @@ void SolveServer::accept_loop()
 }
 
 
-void SolveServer::worker_loop()
+void Listener::worker_loop()
 {
     for (;;) {
-        Impl::pending next;
+        pending next;
         {
-            std::unique_lock<std::mutex> lock{impl_->queue_mutex};
-            impl_->queue_cv.wait(lock, [this] {
-                return !impl_->queue.empty() || impl_->draining;
-            });
-            if (impl_->queue.empty()) {
+            std::unique_lock<std::mutex> lock{queue_mutex_};
+            queue_cv_.wait(lock,
+                           [this] { return !queue_.empty() || draining_; });
+            if (queue_.empty()) {
                 return;  // draining and nothing left: graceful exit
             }
-            next = impl_->queue.front();
-            impl_->queue.pop_front();
+            next = queue_.front();
+            queue_.pop_front();
         }
         if (options_.worker_test_hook) {
             options_.worker_test_hook();
@@ -400,48 +374,120 @@ void SolveServer::worker_loop()
 }
 
 
-void SolveServer::serve_connection(int fd)
+void Listener::serve_connection(int fd)
 {
+    // Requests may arrive in arbitrarily small TCP segments; the shared
+    // reader accumulates until the header terminator (8 KiB bound) and
+    // the body (max_body_bytes) instead of trusting one recv.
     HttpRequest request;
     const auto result =
         read_http_request(fd, request, 8 * 1024, options_.max_body_bytes,
                           options_.request_deadline_ms);
     std::string response;
     switch (result) {
-    case read_result::ok: {
-        // In flight from here until the response is built: its kernels
-        // share the cores with every other request being handled.
-        kernels::ThreadBudgetScope budget{impl_->thread_budget};
-        response = handle(request);
+    case read_result::ok:
+        try {
+            response = handler_(request);
+        } catch (const std::exception& e) {
+            // Escaping the worker would end the process.
+            response = json_response(500, error_json(e.what()));
+        }
+        break;
+    case read_result::timeout:
+    case read_result::too_large:
+    case read_result::malformed: {
+        read_errors_.fetch_add(1, std::memory_order_relaxed);
+        const int status = result == read_result::timeout     ? 408
+                           : result == read_result::too_large ? 413
+                                                              : 400;
+        response = json_response(
+            status,
+            error_json(status == 408   ? "request timeout"
+                       : status == 413 ? "request too large"
+                                       : "malformed request"),
+            emit_traceparent(log::make_trace_context()));
         break;
     }
-    case read_result::timeout:
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
-        response = json_response(408, error_json("request timeout"),
-                                 emit_traceparent(log::make_trace_context()));
-        break;
-    case read_result::too_large:
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
-        response = json_response(413, error_json("request too large"),
-                                 emit_traceparent(log::make_trace_context()));
-        break;
-    case read_result::malformed:
-        impl_->requests_total.fetch_add(1, std::memory_order_relaxed);
-        impl_->client_errors.fetch_add(1, std::memory_order_relaxed);
-        response = json_response(400, error_json("malformed request"),
-                                 emit_traceparent(log::make_trace_context()));
-        break;
     case read_result::closed:
     case read_result::error:
         ::close(fd);
         return;  // nothing to answer
     }
     if (!send_all(fd, response, options_.request_deadline_ms)) {
-        impl_->send_failures.fetch_add(1, std::memory_order_relaxed);
+        send_failures_.fetch_add(1, std::memory_order_relaxed);
     }
     ::close(fd);
+}
+
+
+Listener::Counters Listener::counters() const
+{
+    Counters c;
+    c.rejected = rejected_.load(std::memory_order_relaxed);
+    c.read_errors = read_errors_.load(std::memory_order_relaxed);
+    c.send_failures = send_failures_.load(std::memory_order_relaxed);
+    c.queue_peak = queue_peak_.load(std::memory_order_relaxed);
+    return c;
+}
+
+
+void Listener::stop()
+{
+    if (stopped_.exchange(true)) {
+        return;
+    }
+    // Phase 1: no new connections.
+    accepting_.store(false, std::memory_order_release);
+    if (acceptor_.joinable()) {
+        acceptor_.join();
+    }
+    // Phase 2: drain — workers keep serving until the queue is empty,
+    // finish whatever request is in flight, then exit.
+    {
+        std::lock_guard<std::mutex> guard{queue_mutex_};
+        draining_ = true;
+    }
+    queue_cv_.notify_all();
+    for (auto& worker : workers_) {
+        if (worker.joinable()) {
+            worker.join();
+        }
+    }
+    workers_.clear();
+    if (listen_fd_ >= 0) {
+        ::close(listen_fd_);
+        listen_fd_ = -1;
+    }
+    drained_.store(true, std::memory_order_release);
+}
+
+
+SolveServer::~SolveServer() { stop(); }
+
+
+std::unique_ptr<SolveServer> SolveServer::start(SolveServerOptions options)
+{
+    std::unique_ptr<SolveServer> server{new SolveServer{}};
+    server->options_ = std::move(options);
+    server->impl_ = std::make_unique<Impl>();
+    server->impl_->exec = OmpExecutor::create();
+    server->listener_ = Listener::start(
+        server->options_, [raw = server.get()](const HttpRequest& request) {
+            // In flight from here until the response is built: its
+            // kernels share the cores with every other request being
+            // handled.
+            kernels::ThreadBudgetScope budget{raw->impl_->thread_budget};
+            return raw->handle(request);
+        });
+    return server;
+}
+
+
+void SolveServer::stop()
+{
+    if (listener_) {
+        listener_->stop();
+    }
 }
 
 
@@ -485,23 +531,17 @@ std::string SolveServer::handle(const HttpRequest& request)
     std::string response;
     int status = 500;
     try {
-        if (path == "/healthz") {
-            status = 200;
-            response = http_response(200, "text/plain", "ok\n");
-        } else if (path == "/readyz") {
+        if (path == "/readyz") {
             // Readiness is stricter than liveness: a load balancer pulls
             // the instance on the first 503 here, while /healthz stays 200
             // until the process exits.  Three states, one transition each:
             // accepting -> draining (stop() running, queue still served)
             // -> stopped (drain complete).
             Json ready = Json::make_object();
-            const bool accepting =
-                accepting_.load(std::memory_order_acquire);
-            const char* state =
-                accepting ? "accepting"
-                          : (drained_.load(std::memory_order_acquire)
-                                 ? "stopped"
-                                 : "draining");
+            const bool accepting = listener_->accepting();
+            const char* state = accepting              ? "accepting"
+                                : listener_->drained() ? "stopped"
+                                                       : "draining";
             ready["state"] = Json{std::string{state}};
             ready["accepting"] = Json{accepting};
             status = accepting ? 200 : 503;
@@ -595,9 +635,10 @@ std::string SolveServer::handle(const HttpRequest& request)
                 response = handle_solve(request);
             }
         } else {
-            status = 404;
-            response = json_response(
-                404, error_json("unknown target: " + path));
+            // Every other path is a telemetry route: /healthz,
+            // /trace.json?trace_id=, /profile.json, ... (or its 404).
+            response = telemetry_response(request);
+            status = response_status(response);
         }
     } catch (const NotFoundError& e) {
         status = 404;
@@ -949,7 +990,7 @@ std::string SolveServer::metrics_text() const
 {
     const auto s = stats();
     std::ostringstream body;
-    body << log::shared_metrics()->registry().prometheus_text();
+    body << telemetry_metrics_text();
     body << "# TYPE mgko_solve_requests_served_total counter\n"
          << "mgko_solve_requests_served_total " << s.requests_total << "\n"
          << "# TYPE mgko_solve_rejected_total counter\n"
@@ -964,30 +1005,25 @@ std::string SolveServer::metrics_text() const
          << "mgko_solve_cache_bytes " << s.cache_bytes << "\n"
          << "# TYPE mgko_solve_queue_peak gauge\n"
          << "mgko_solve_queue_peak " << s.queue_peak << "\n";
-    // Measured tier: the same mgko_hw_*/mgko_sampling_* series the
-    // telemetry endpoint scrapes, so either server alone tells the story.
-    body << log::hw_counters_prometheus();
-    body << "# TYPE mgko_sampling_hz gauge\n"
-         << "mgko_sampling_hz " << log::sampling_hz() << "\n"
-         << "# TYPE mgko_sampling_samples_total counter\n"
-         << "mgko_sampling_samples_total " << log::sampling_samples() << "\n"
-         << "# TYPE mgko_sampling_dropped_total counter\n"
-         << "mgko_sampling_dropped_total " << log::sampling_dropped()
-         << "\n";
     return body.str();
 }
 
 
 SolveServer::Stats SolveServer::stats() const
 {
+    // Connections the listener answered itself count as requests too:
+    // 429s as rejections, failed reads as client errors.
+    const auto transport = listener_->counters();
     Stats s;
     s.requests_total =
-        impl_->requests_total.load(std::memory_order_relaxed);
+        impl_->requests_total.load(std::memory_order_relaxed) +
+        transport.rejected + transport.read_errors;
     s.ok = impl_->ok.load(std::memory_order_relaxed);
-    s.client_errors = impl_->client_errors.load(std::memory_order_relaxed);
+    s.client_errors = impl_->client_errors.load(std::memory_order_relaxed) +
+                      transport.read_errors;
     s.server_errors = impl_->server_errors.load(std::memory_order_relaxed);
-    s.rejected = impl_->rejected.load(std::memory_order_relaxed);
-    s.send_failures = impl_->send_failures.load(std::memory_order_relaxed);
+    s.rejected = transport.rejected;
+    s.send_failures = transport.send_failures;
     s.uploads = impl_->uploads.load(std::memory_order_relaxed);
     s.solves = impl_->solves.load(std::memory_order_relaxed);
     s.cache_hits = impl_->cache_hits.load(std::memory_order_relaxed);
@@ -996,7 +1032,7 @@ SolveServer::Stats SolveServer::stats() const
         impl_->cache_evictions.load(std::memory_order_relaxed);
     s.solver_generations =
         impl_->solver_generations.load(std::memory_order_relaxed);
-    s.queue_peak = impl_->queue_peak.load(std::memory_order_relaxed);
+    s.queue_peak = transport.queue_peak;
     s.queue_capacity = options_.queue_capacity;
     s.team_threads = impl_->last_team_threads.load(std::memory_order_relaxed);
     {
@@ -1047,139 +1083,166 @@ std::string SolveServer::stats_json() const
 }
 
 
-void SolveServer::stop()
-{
-    if (stopped_.exchange(true)) {
-        return;
-    }
-    // Phase 1: no new connections.
-    accepting_.store(false, std::memory_order_release);
-    if (acceptor_.joinable()) {
-        acceptor_.join();
-    }
-    // Phase 2: drain — workers keep serving until the queue is empty,
-    // finish whatever solve is in flight, then exit.
-    {
-        std::lock_guard<std::mutex> guard{impl_->queue_mutex};
-        impl_->draining = true;
-    }
-    impl_->queue_cv.notify_all();
-    for (auto& worker : impl_->workers) {
-        if (worker.joinable()) {
-            worker.join();
-        }
-    }
-    impl_->workers.clear();
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    // Drain complete: /readyz flips from "draining" to "stopped".
-    drained_.store(true, std::memory_order_release);
-}
-
-
-// --- process-wide server ---------------------------------------------------
+// --- process-wide servers ---------------------------------------------------
 
 namespace {
 
-std::mutex& global_mutex()
+/// One process-wide server; `port` is 0 while the slot is empty, so it
+/// doubles as the active flag.
+template <typename Server>
+struct Slot {
+    std::unique_ptr<Server> server;
+    std::atomic<int> port{0};
+};
+
+struct Servers {
+    /// Guards both slots.  Starting a server never re-enters it: no
+    /// executor or config path starts servers.
+    std::mutex mutex;
+    Slot<Listener> telemetry;
+    Slot<SolveServer> solve;
+};
+
+Servers& servers()
 {
-    static std::mutex mutex;
-    return mutex;
+    static Servers instance;
+    return instance;
 }
 
-std::unique_ptr<SolveServer>& global_server()
+template <typename Server, typename Start>
+int start_slot(Slot<Server>& slot, int port, const char* name, Start start)
 {
-    static std::unique_ptr<SolveServer> server;
-    return server;
-}
-
-std::atomic<bool> global_active{false};
-std::atomic<int> global_port{0};
-
-/// One-shot latch for solve_server_from_env.  Deliberately not a
-/// call_once: SolveServer::start creates its executor through the factory,
-/// which calls solve_server_from_env again — with a call_once that
-/// re-entrant call would deadlock on the in-flight once_flag.
-std::atomic<bool> env_attempted{false};
-
-}  // namespace
-
-
-int solve_server_start(int port)
-{
-    // An explicit start supersedes the env wiring; claiming the latch here
-    // also keeps the executor created inside SolveServer::start from
-    // re-entering this function (global_mutex is not recursive).
-    env_attempted.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> guard{global_mutex()};
-    auto& server = global_server();
-    if (!server) {
-        SolveServerOptions options;
-        options.port = port;
-        server = SolveServer::start(std::move(options));
-        global_active.store(true, std::memory_order_release);
-        global_port.store(server->port(), std::memory_order_release);
-    } else if (port != 0 && port != server->port()) {
+    std::lock_guard<std::mutex> guard{servers().mutex};
+    if (!slot.server) {
+        slot.server = start(port);
+        slot.port.store(slot.server->port(), std::memory_order_release);
+    } else if (port != 0 && port != slot.server->port()) {
+        // Silently answering with a server bound elsewhere hid
+        // misconfigurations; an explicit conflicting port is an error.
+        // Port 0 ("any port") keeps reporting the running server.
         throw BadParameter(
             __FILE__, __LINE__,
-            "solve server already running on port " +
-                std::to_string(server->port()) + ", cannot rebind to " +
-                std::to_string(port) + " (solve_server_stop() it first)");
+            std::string{name} + "_start: server already running on port " +
+                std::to_string(slot.server->port()) + ", cannot rebind to " +
+                std::to_string(port) + " (" + name + "_stop() it first)");
     }
-    return server->port();
+    return slot.server->port();
 }
 
-
-void solve_server_stop()
+template <typename Server>
+void stop_slot(Slot<Server>& slot)
 {
-    std::lock_guard<std::mutex> guard{global_mutex()};
-    global_active.store(false, std::memory_order_release);
-    global_port.store(0, std::memory_order_release);
-    global_server().reset();
+    std::lock_guard<std::mutex> guard{servers().mutex};
+    slot.port.store(0, std::memory_order_release);
+    slot.server.reset();
 }
 
-
-bool solve_server_active()
+/// Starts `start($variable)` when the environment variable holds a port
+/// number, reporting the outcome on stderr.
+void start_from_variable(const char* variable, const char* what,
+                         int (*start)(int))
 {
-    return global_active.load(std::memory_order_acquire);
-}
-
-
-int solve_server_port() { return global_port.load(std::memory_order_acquire); }
-
-
-std::string solve_server_stats_json()
-{
-    std::lock_guard<std::mutex> guard{global_mutex()};
-    auto& server = global_server();
-    return server ? server->stats_json() : std::string{"{}"};
-}
-
-
-void solve_server_from_env()
-{
-    if (env_attempted.exchange(true, std::memory_order_acq_rel)) {
-        return;
-    }
-    const char* value = std::getenv("MGKO_SOLVE_PORT");
+    const char* value = std::getenv(variable);
     if (value == nullptr || *value == '\0') {
         return;
     }
     char* end = nullptr;
     const long port = std::strtol(value, &end, 10);
     if (end == value || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "mgko: MGKO_SOLVE_PORT='%s' is not a port\n",
+        std::fprintf(stderr, "mgko: %s='%s' is not a port\n", variable,
                      value);
         return;
     }
     try {
-        const int bound = solve_server_start(static_cast<int>(port));
-        std::fprintf(stderr, "mgko: solve server on port %d\n", bound);
+        const int bound = start(static_cast<int>(port));
+        std::fprintf(stderr, "mgko: %s on port %d\n", what, bound);
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "mgko: solve server failed: %s\n", e.what());
+        std::fprintf(stderr, "mgko: %s failed: %s\n", what, e.what());
     }
+}
+
+}  // namespace
+
+
+std::unique_ptr<Listener> start_telemetry_listener(int port)
+{
+    SolveServerOptions options;
+    options.port = port;
+    options.num_workers = 1;
+    options.queue_capacity = 16;
+    options.max_body_bytes = 0;  // telemetry requests carry no body
+    options.request_deadline_ms = 1000;
+    return Listener::start(options, telemetry_response);
+}
+
+
+int telemetry_start(int port)
+{
+    return start_slot(servers().telemetry, port, "telemetry", [](int p) {
+        auto listener = start_telemetry_listener(p);
+        log::set_metrics_served(true);
+        return listener;
+    });
+}
+
+
+void telemetry_stop()
+{
+    log::set_metrics_served(false);
+    stop_slot(servers().telemetry);
+}
+
+
+bool telemetry_active() { return telemetry_port() != 0; }
+
+
+int telemetry_port()
+{
+    return servers().telemetry.port.load(std::memory_order_acquire);
+}
+
+
+int solve_server_start(int port)
+{
+    return start_slot(servers().solve, port, "solve_server", [](int p) {
+        SolveServerOptions options;
+        options.port = p;
+        return SolveServer::start(std::move(options));
+    });
+}
+
+
+void solve_server_stop() { stop_slot(servers().solve); }
+
+
+bool solve_server_active() { return solve_server_port() != 0; }
+
+
+int solve_server_port()
+{
+    return servers().solve.port.load(std::memory_order_acquire);
+}
+
+
+std::string solve_server_stats_json()
+{
+    std::lock_guard<std::mutex> guard{servers().mutex};
+    const auto& server = servers().solve.server;
+    return server ? server->stats_json() : std::string{"{}"};
+}
+
+
+void start_from_env()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        // Telemetry first: a solve server started while it runs attaches
+        // the shared metrics logger to its executor, as /metrics expects.
+        start_from_variable("MGKO_TELEMETRY_PORT", "telemetry server",
+                            telemetry_start);
+        start_from_variable("MGKO_SOLVE_PORT", "solve server",
+                            solve_server_start);
+    });
 }
 
 

@@ -1,7 +1,7 @@
 // Solve-as-a-service: the request-serving layer on the serve:: spine.
 //
-// TelemetryServer proved a dependency-free POSIX HTTP endpoint can live
-// in-tree; SolveServer promotes that spine into a real service.  The
+// SolveServer is the serve layer's one Listener (a dependency-free POSIX
+// HTTP front door, declared below) plus the solve routes.  The
 // economics mirror Ginkgo's LinOp design (generate once, apply many): a
 // matrix uploaded once is parsed and factored once, then solved thousands
 // of times against different right-hand sides.
@@ -43,25 +43,25 @@
 // echoes the context as a `traceparent` response header.  While the
 // request is in flight its context scopes the worker thread, so
 // FlightRecorder records carry its trace id (filterable via
-// /trace.json?trace_id= on the telemetry endpoint), metric observations
-// leave OpenMetrics exemplars, and sampled /v1/solve responses gain a
-// "cost" block with a per-kernel breakdown.
-//   GET  /metrics        Prometheus text: the shared MetricsRegistry plus
-//                        the server's own mgko_solve_* series and the
-//                        measured tier's mgko_hw_*/mgko_sampling_* series.
-//   GET  /healthz        liveness probe: 200 while the process serves,
-//                        including during drain (the process is alive and
-//                        still answering queued work).
+// /trace.json?trace_id= on this port or the telemetry one), metric
+// observations leave OpenMetrics exemplars, and sampled /v1/solve
+// responses gain a "cost" block with a per-kernel breakdown.
+//   GET  /metrics        Prometheus text: the telemetry /metrics series
+//                        (shared MetricsRegistry, mgko_flight_*, measured
+//                        tier) plus the server's own mgko_solve_* series.
 //   GET  /readyz         readiness probe: 200 {"state": "accepting"} only
 //                        while new connections are admitted; 503 with
 //                        "draining" (stop() running, queued work still
 //                        being served) or "stopped" (drain complete) —
 //                        the signal a load balancer needs to pull the
 //                        instance before /healthz ever flips.
+//   every other path     the telemetry routes (serve/telemetry.hpp):
+//                        /healthz (200 while the process serves, including
+//                        during drain), /trace.json, /profile.json, ...
 //
-// Concurrency: one acceptor thread feeds a bounded queue drained by a
-// worker pool.  Admission control is explicit backpressure — when the
-// queue is full the acceptor answers 429 with a Retry-After header
+// Concurrency (the Listener's): one acceptor thread feeds a bounded queue
+// drained by a worker pool.  Admission control is explicit backpressure —
+// when the queue is full the acceptor answers 429 with a Retry-After header
 // immediately instead of queueing unboundedly (clients see latency honestly
 // instead of through a growing queue).  Cached solvers hold persistent
 // workspaces, so each one is applied under its own mutex; different
@@ -83,11 +83,15 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/types.hpp"
 #include "serve/http.hpp"
@@ -118,6 +122,98 @@ struct SolveServerOptions {
 };
 
 
+/// The serve layer's one HTTP listener: an acceptor thread feeds a bounded
+/// queue (429 + Retry-After when it is full) drained by a worker pool;
+/// each worker reads one request with read_http_request, answers it with
+/// the handler (or with 408/413/400 when the read fails), and closes the
+/// connection.  SolveServer runs its routes on one; telemetry_start runs
+/// the telemetry routes on one with a single worker.  Reads every
+/// SolveServerOptions field except cache_capacity_bytes.
+class Listener {
+public:
+    /// One parsed request in, one full HTTP response out.  Called
+    /// concurrently from every worker.
+    using Handler = std::function<std::string(const HttpRequest&)>;
+
+    /// Binds 0.0.0.0:`options.port` (0 picks an ephemeral port) and starts
+    /// the acceptor and the workers.  Throws mgko::Error when the socket
+    /// cannot be bound.
+    static std::unique_ptr<Listener> start(const SolveServerOptions& options,
+                                           Handler handler);
+
+    ~Listener();
+
+    Listener(const Listener&) = delete;
+    Listener& operator=(const Listener&) = delete;
+
+    /// The bound port (the concrete one when started with port 0).
+    int port() const { return port_; }
+
+    /// True until stop() begins.
+    bool accepting() const
+    {
+        return accepting_.load(std::memory_order_acquire);
+    }
+
+    /// True once stop() has drained the queue and joined the workers.
+    bool drained() const { return drained_.load(std::memory_order_acquire); }
+
+    /// Connections the listener answered without the handler, and its
+    /// own send and queue statistics.
+    struct Counters {
+        std::uint64_t rejected{0};     ///< 429 backpressure answers
+        std::uint64_t read_errors{0};  ///< 408 / 413 / 400 answers
+        std::uint64_t send_failures{0};
+        std::uint64_t queue_peak{0};
+    };
+    Counters counters() const;
+
+    /// Graceful shutdown: stop accepting, serve everything queued and in
+    /// flight, join the workers.  Idempotent; the destructor calls it.
+    void stop();
+
+private:
+    Listener() = default;
+
+    void accept_loop();
+    void worker_loop();
+    void serve_connection(int fd);
+
+    /// One accepted connection awaiting a worker.  The acceptor captures
+    /// its trace context at enqueue time and the worker re-enters it
+    /// before serving, so request-scoped attribution survives the
+    /// accept -> queue -> worker-pool thread hop explicitly instead of
+    /// leaking whatever context the worker last held.
+    struct pending {
+        int fd{-1};
+        log::TraceContext ambient{};
+    };
+
+    SolveServerOptions options_;
+    Handler handler_;
+    int listen_fd_{-1};
+    int port_{0};
+    std::atomic<bool> accepting_{false};
+    std::atomic<bool> stopped_{false};
+    std::atomic<bool> drained_{false};
+
+    std::mutex queue_mutex_;
+    std::condition_variable queue_cv_;
+    std::deque<pending> queue_;
+    bool draining_{false};
+
+    // Relaxed: each is independently monotone.
+    std::atomic<std::uint64_t> rejected_{0};
+    std::atomic<std::uint64_t> read_errors_{0};
+    std::atomic<std::uint64_t> send_failures_{0};
+    std::atomic<std::uint64_t> queue_peak_{0};
+
+    // Last: the threads use every member above.
+    std::thread acceptor_;
+    std::vector<std::thread> workers_;
+};
+
+
 class SolveServer {
 public:
     /// Binds and starts the acceptor + worker pool.  Throws mgko::Error
@@ -130,7 +226,7 @@ public:
     SolveServer& operator=(const SolveServer&) = delete;
 
     /// The bound port (the concrete one when constructed with port 0).
-    int port() const { return port_; }
+    int port() const { return listener_->port(); }
 
     /// Graceful shutdown: stop accepting, serve everything queued and
     /// in flight, join the pool.  Idempotent; the destructor calls it.
@@ -176,10 +272,6 @@ public:
 private:
     SolveServer() = default;
 
-    void accept_loop();
-    void worker_loop();
-    void serve_connection(int fd);
-
     std::string handle_upload(const HttpRequest& request);
     std::string handle_solve(const HttpRequest& request);
     std::string metrics_text() const;
@@ -188,21 +280,43 @@ private:
     std::unique_ptr<Impl> impl_;
 
     SolveServerOptions options_;
-    int listen_fd_{-1};
-    int port_{0};
-    std::atomic<bool> accepting_{false};
-    std::atomic<bool> stopped_{false};
-    /// Set when stop() finishes draining; /readyz distinguishes
-    /// "draining" (stopped_ set, workers still serving the queue) from
-    /// "stopped" (drain complete) with it.
-    std::atomic<bool> drained_{false};
-    std::thread acceptor_;
+    /// Declared last so it is destroyed first: its workers call handle().
+    std::unique_ptr<Listener> listener_;
 };
 
 
+// --- process-wide servers --------------------------------------------------
+//
+// One holder serves both: a mutex, a server slot each for telemetry and
+// solve traffic, and the bound port (0 while a slot is empty).  Starting
+// a slot that is already running with port 0 ("any port") or its own
+// port reports the running server; a different explicit port throws
+// BadParameter — a second explicit port is a conflicting configuration,
+// not a request the running server can satisfy.
+
+/// Starts the process-wide telemetry server (the telemetry routes of
+/// serve/telemetry.hpp on a one-worker Listener) if none is running;
+/// returns the bound port.  While it runs, log::metrics_from_env() hands
+/// the shared metrics logger to every new executor, so /metrics has
+/// executor-level series to serve.
+int telemetry_start(int port);
+
+/// Stops and discards the process-wide telemetry server; no-op when none
+/// runs.
+void telemetry_stop();
+
+/// True while the process-wide telemetry server is running.
+bool telemetry_active();
+
+/// The process-wide telemetry server's port, 0 when inactive.
+int telemetry_port();
+
+/// The listener telemetry_start runs: the telemetry routes on one worker
+/// with a one-second request deadline.  Each call binds a new listener.
+std::unique_ptr<Listener> start_telemetry_listener(int port);
+
 /// Starts the process-wide solve server if none is running; returns the
-/// bound port.  Like telemetry_start: with a server already running,
-/// port 0 reports it and a conflicting explicit port throws BadParameter.
+/// bound port.
 int solve_server_start(int port);
 
 /// Graceful stop + discard of the process-wide server; no-op when none.
@@ -217,10 +331,13 @@ int solve_server_port();
 /// The process-wide server's /v1/stats JSON; "{}" when inactive.
 std::string solve_server_stats_json();
 
-/// solve_server_start($MGKO_SOLVE_PORT) once per process when that
-/// variable holds a port number; bind failures are reported on stderr
-/// rather than thrown (same embedded-library contract as telemetry).
-void solve_server_from_env();
+/// Once per process: telemetry_start($MGKO_TELEMETRY_PORT), then
+/// solve_server_start($MGKO_SOLVE_PORT), for each variable that holds a
+/// port number.  The only reader of the two variables; called by
+/// bind::ensure_bindings_registered() and by the binaries that document
+/// them.  Bind failures are reported on stderr rather than thrown (an
+/// embedded library must not kill its host over an occupied port).
+void start_from_env();
 
 
 }  // namespace mgko::serve

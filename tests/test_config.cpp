@@ -151,6 +151,42 @@ TEST(Json, ObjectAccessHelpers)
 }
 
 
+TEST(Json, NestingBeyondTheDepthBoundIsABadParameter)
+{
+    // Recursion per '[' used to overflow the stack long before the end of
+    // this input; it is a typed error now.
+    EXPECT_THROW(Json::parse(std::string(2000000, '[')), BadParameter);
+    const auto nested = [](int depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(Json::parse(nested(512)));
+    EXPECT_THROW(Json::parse(nested(513)), BadParameter);
+    EXPECT_THROW(Json::parse(std::string(513, '{')), BadParameter);
+}
+
+TEST(Json, ControlBytesAreEscapedOnDumpAndRejectedRawOnParse)
+{
+    const std::string text = std::string{"a\x01"} + "b\f";
+    const auto dumped = Json{text}.dump();
+    EXPECT_EQ(dumped, R"("a\u0001b\u000c")");
+    EXPECT_EQ(Json::parse(dumped).as_string(), text);
+    EXPECT_EQ(Json::parse(Json{"\r\n\t"}.dump()).as_string(), "\r\n\t");
+    // RFC 8259: control characters inside a string must be escaped.
+    EXPECT_THROW(Json::parse("\"a\x01b\""), BadParameter);
+    EXPECT_THROW(Json::parse("{\"k\": \"line\nbreak\"}"), BadParameter);
+}
+
+TEST(Json, AsIntRejectsRealsOutsideTheIntegerRange)
+{
+    EXPECT_EQ(Json{3.7}.as_int(), 3);
+    EXPECT_EQ(Json{-0x1p63}.as_int(), std::numeric_limits<std::int64_t>::min());
+    EXPECT_THROW(Json{0x1p63}.as_int(), BadParameter);
+    EXPECT_THROW(Json{1e300}.as_int(), BadParameter);
+    EXPECT_THROW(Json{-1e300}.as_int(), BadParameter);
+    EXPECT_THROW(Json{std::numeric_limits<double>::quiet_NaN()}.as_int(),
+                 BadParameter);
+}
+
 // --- config solver -------------------------------------------------------------
 
 class ConfigSolver : public ::testing::Test {

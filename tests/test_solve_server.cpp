@@ -502,6 +502,35 @@ TEST(SolveServer, DimensionsBeyondTheCacheBudgetAreATyped413)
     server->stop();
 }
 
+TEST(SolveServer, DeeplyNestedBodyIsA400AndTheNextRequestIsServed)
+{
+    // Two million '[' fit the default 8 MiB body bound; the parser used to
+    // recurse once per level and overflow the stack, taking the whole
+    // process down.  The nesting bound makes it one typed 400.
+    auto server = serve::SolveServer::start({});
+    const auto response = http_request(server->port(), "POST", "/v1/solve",
+                                       std::string(2000000, '['));
+    ASSERT_EQ(status_of(response), 400) << response.substr(0, 200);
+    EXPECT_NE(body_of(response).find("nesting"), std::string::npos);
+    EXPECT_EQ(
+        status_of(http_request(server->port(), "GET", "/healthz", "")),
+        200);
+    server->stop();
+}
+
+TEST(SolveServer, TripletDimensionBeyondTheIntegerRangeIsATyped400)
+{
+    auto server = serve::SolveServer::start({});
+    const auto response = http_request(
+        server->port(), "POST", "/v1/operators",
+        R"({"triplet": {"rows": 1e300, "cols": 2, "entries": []}})");
+    EXPECT_EQ(status_of(response), 400) << response;
+    EXPECT_NE(body_of(response).find("out of the integer range"),
+              std::string::npos)
+        << response;
+    server->stop();
+}
+
 TEST(SolveServer, RoutingErrorsAreTypedJson)
 {
     // handle() is exposed precisely so error paths need no sockets.
@@ -705,6 +734,55 @@ TEST(SolveServerTracing, EveryRouteEchoesATraceparent)
         const auto echoed = header_of(response, "traceparent");
         EXPECT_EQ(echoed.size(), 55u) << target;
         EXPECT_TRUE(serve::parse_traceparent(echoed).valid()) << target;
+    }
+    server->stop();
+}
+
+TEST(SolveServerTracing, SolvePortServesTheTelemetryRoutes)
+{
+    // One listener: the solve port answers the telemetry routes too, so a
+    // traced solve resolves in /trace.json without a second server, and
+    // /metrics carries the shared series next to the solve series.
+    auto server = serve::SolveServer::start({});
+    const auto handle = upload_laplacian(server->port(), 16);
+    Json solve = Json::make_object();
+    solve["operator"] = Json{handle};
+    solve["config"] = cg_config();
+    ASSERT_EQ(status_of(http_request(
+                  server->port(), "POST", "/v1/solve", solve.dump(),
+                  std::string{"traceparent: "} + kTraceparent + "\r\n")),
+              200);
+
+    const auto trace = http_request(
+        server->port(), "GET",
+        std::string{"/trace.json?trace_id="} + kTraceId, "");
+    ASSERT_EQ(status_of(trace), 200) << trace;
+    const auto doc = Json::parse(body_of(trace));
+    const auto& events = doc.at("traceEvents").elements();
+    ASSERT_FALSE(events.empty());
+    bool found_request_span = false;
+    for (const auto& event : events) {
+        // Span ends carry only the span id; everything else names the
+        // request's trace.
+        const auto& args = event.at("args");
+        if (args.contains("trace_id")) {
+            EXPECT_EQ(args.at("trace_id").as_string(), "a3ce929d0e0e4736");
+        }
+        found_request_span = found_request_span ||
+                             event.at("name").as_string() == "serve.solve";
+    }
+    EXPECT_TRUE(found_request_span);
+    EXPECT_EQ(status_of(http_request(server->port(), "GET",
+                                     "/trace.json?trace_id=nope", "")),
+              400);
+
+    const auto metrics =
+        body_of(http_request(server->port(), "GET", "/metrics", ""));
+    for (const char* series :
+         {"mgko_flight_records_total", "mgko_flight_dropped_total",
+          "mgko_solve_requests_served_total", "mgko_solve_cache_hits_total",
+          "mgko_sampling_hz"}) {
+        EXPECT_NE(metrics.find(series), std::string::npos) << series;
     }
     server->stop();
 }
@@ -1042,6 +1120,10 @@ TEST(SolveServerLifecycle, StartStopAndConflictingPortThrows)
 {
     ASSERT_FALSE(serve::solve_server_active());
     EXPECT_EQ(serve::solve_server_stats_json(), "{}");
+    // Not a port: rejected instead of wrapping to 70000 % 65536.
+    EXPECT_THROW(serve::solve_server_start(70000), BadParameter);
+    EXPECT_THROW(serve::solve_server_start(-1), BadParameter);
+    EXPECT_FALSE(serve::solve_server_active());
     const int port = serve::solve_server_start(0);
     EXPECT_GT(port, 0);
     EXPECT_TRUE(serve::solve_server_active());
@@ -1058,19 +1140,32 @@ TEST(SolveServerLifecycle, StartStopAndConflictingPortThrows)
     serve::solve_server_stop();  // no-op
 }
 
-TEST(SolveServerLifecycle, ConfigKeyStartsTheServer)
+TEST(SolveServerLifecycle, StrictConfigRejectsTheSolveServerKey)
 {
+    // Config starts no server: "solve_server" is an unknown key to strict
+    // config, on the single-system and the batched path alike.
     ASSERT_FALSE(serve::solve_server_active());
     auto exec = ReferenceExecutor::create();
     auto system = std::shared_ptr<const LinOp>{
         Csr<double, int32>::create_from_data(
             exec, test::laplacian_1d<double, int32>(8))};
+    const auto rejected = [](auto&& build) {
+        try {
+            build();
+        } catch (const BadParameter& e) {
+            return std::string{e.what()}.find(
+                       "unknown config key 'solve_server'") !=
+                   std::string::npos;
+        }
+        return false;
+    };
     auto config = cg_config();
     config["solve_server"] = Json{true};
-    auto solver = config::config_solver(config, exec, system);
-    EXPECT_TRUE(serve::solve_server_active());
-    EXPECT_GT(serve::solve_server_port(), 0);
-    serve::solve_server_stop();
+    EXPECT_TRUE(rejected([&] { config::config_solver(config, exec, system); }));
+    config["batch"] = Json{std::int64_t{2}};
+    EXPECT_TRUE(
+        rejected([&] { config::parse_batch_factory(config, exec); }));
+    EXPECT_FALSE(serve::solve_server_active());
 }
 
 }  // namespace

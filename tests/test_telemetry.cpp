@@ -1,7 +1,8 @@
-// The always-on tier's exposition half: TelemetryServer request routing,
-// the live loopback endpoints (/healthz, /metrics, /profile.json,
-// /trace.json) scraped over real sockets, the process-wide
-// telemetry_start/stop lifecycle, and the "telemetry" config key.
+// The always-on tier's exposition half: the telemetry routes, the live
+// loopback endpoints (/healthz, /metrics, /profile.json, /trace.json)
+// scraped over real sockets through the serve layer's one Listener, the
+// process-wide telemetry_start/stop lifecycle, and strict config's
+// rejection of the removed "telemetry" key.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,7 +26,8 @@
 #include "log/trace_context.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
-#include "serve/telemetry_server.hpp"
+#include "serve/solve_server.hpp"
+#include "serve/telemetry.hpp"
 #include "tests/test_utils.hpp"
 
 namespace {
@@ -71,6 +73,14 @@ std::string http_get(int port, const std::string& target)
     return response;
 }
 
+std::string respond(const std::string& method, const std::string& target)
+{
+    serve::HttpRequest request;
+    request.method = method;
+    request.target = target;
+    return serve::telemetry_response(request);
+}
+
 std::string body_of(const std::string& response)
 {
     const auto split = response.find("\r\n\r\n");
@@ -97,31 +107,42 @@ void generate_telemetry_events()
 
 TEST(TelemetryRouting, HealthzAnswersOk)
 {
-    const auto response = serve::TelemetryServer::respond("GET", "/healthz", 0);
+    const auto response = respond("GET", "/healthz");
     EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
     EXPECT_EQ(body_of(response), "ok\n");
 }
 
 TEST(TelemetryRouting, MetricsIsNeverEmptyAndDeclaresPrometheusType)
 {
-    const auto response = serve::TelemetryServer::respond("GET", "/metrics", 3);
+    const auto response = respond("GET", "/metrics");
     EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
     EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
     const auto body = body_of(response);
-    // The server's own series guarantee a scrape always has samples.
+    // The routes' own series guarantee a scrape always has samples.
     EXPECT_NE(body.find("mgko_flight_records_total"), std::string::npos);
     EXPECT_NE(body.find("mgko_flight_dropped_total"), std::string::npos);
-    EXPECT_NE(body.find("mgko_telemetry_requests_total 3"), std::string::npos);
+    // The request counter includes the scrape reading it.
+    const auto count = [](const std::string& scrape) {
+        const std::string sample = "\nmgko_telemetry_requests_total ";
+        const auto at = scrape.find(sample);
+        return at == std::string::npos
+                   ? 0ull
+                   : std::stoull(scrape.substr(at + sample.size()));
+    };
+    const auto before = count(body);
+    EXPECT_GE(before, 1u);
+    respond("GET", "/healthz");
+    EXPECT_EQ(count(body_of(respond("GET", "/metrics"))), before + 2);
 }
 
 TEST(TelemetryRouting, ProfileAndTraceAreParseableJson)
 {
     generate_telemetry_events();
     const auto profile =
-        body_of(serve::TelemetryServer::respond("GET", "/profile.json", 0));
+        body_of(respond("GET", "/profile.json"));
     EXPECT_TRUE(config::Json::parse(profile).contains("tags"));
     const auto trace =
-        body_of(serve::TelemetryServer::respond("GET", "/trace.json", 0));
+        body_of(respond("GET", "/trace.json"));
     auto doc = config::Json::parse(trace);
     ASSERT_TRUE(doc.contains("traceEvents"));
     EXPECT_FALSE(doc.at("traceEvents").elements().empty());
@@ -133,13 +154,13 @@ TEST(TelemetryRouting, MeasuredTierRoutesServeProfileAndFlamegraph)
     log::sampling_reset();
     // Inactive sampling still answers well-formed (empty) exports.
     auto response =
-        serve::TelemetryServer::respond("GET", "/profile_cpu.json", 0);
+        respond("GET", "/profile_cpu.json");
     EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
     auto doc = config::Json::parse(body_of(response));
     EXPECT_EQ(doc.at("profile").as_string(), "cpu_samples");
     EXPECT_EQ(doc.at("hz").as_int(), 0);
     EXPECT_TRUE(doc.at("stacks").elements().empty());
-    response = serve::TelemetryServer::respond("GET", "/flamegraph.txt", 0);
+    response = respond("GET", "/flamegraph.txt");
     EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
     EXPECT_NE(response.find("text/plain"), std::string::npos);
     EXPECT_EQ(body_of(response), "");
@@ -158,11 +179,11 @@ TEST(TelemetryRouting, MeasuredTierRoutesServeProfileAndFlamegraph)
     }
     log::sampling_stop();
     doc = config::Json::parse(body_of(
-        serve::TelemetryServer::respond("GET", "/profile_cpu.json", 0)));
+        respond("GET", "/profile_cpu.json")));
     EXPECT_GT(doc.at("samples").as_int(), 0);
     ASSERT_FALSE(doc.at("stacks").elements().empty());
     const auto folded = body_of(
-        serve::TelemetryServer::respond("GET", "/flamegraph.txt", 0));
+        respond("GET", "/flamegraph.txt"));
     EXPECT_NE(folded.find("mgko;telemetry.unit "), std::string::npos);
     log::sampling_reset();
 }
@@ -178,7 +199,7 @@ TEST(TelemetryRouting, MetricsCarryTheMeasuredTierSeries)
         }
     }
     const auto body =
-        body_of(serve::TelemetryServer::respond("GET", "/metrics", 0));
+        body_of(respond("GET", "/metrics"));
     EXPECT_NE(body.find("mgko_hw_active 1"), std::string::npos);
     EXPECT_NE(body.find("mgko_hw_source{source=\"rusage\"} 1"),
               std::string::npos);
@@ -193,10 +214,10 @@ TEST(TelemetryRouting, MetricsCarryTheMeasuredTierSeries)
 
 TEST(TelemetryRouting, UnknownTargetIs404AndNonGetIs405)
 {
-    EXPECT_NE(serve::TelemetryServer::respond("GET", "/nope", 0)
+    EXPECT_NE(respond("GET", "/nope")
                   .find("HTTP/1.0 404"),
               std::string::npos);
-    EXPECT_NE(serve::TelemetryServer::respond("POST", "/metrics", 0)
+    EXPECT_NE(respond("POST", "/metrics")
                   .find("HTTP/1.0 405"),
               std::string::npos);
 }
@@ -204,7 +225,7 @@ TEST(TelemetryRouting, UnknownTargetIs404AndNonGetIs405)
 TEST(TelemetryRouting, QueryStringsAreIgnored)
 {
     const auto response =
-        serve::TelemetryServer::respond("GET", "/healthz?probe=1", 0);
+        respond("GET", "/healthz?probe=1");
     EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
 }
 
@@ -223,9 +244,8 @@ TEST(TelemetryRouting, TraceIdFilterNarrowsTheDumpToOneRequest)
     // ...and unrelated traffic with no context at all.
     generate_telemetry_events();
 
-    const auto filtered = body_of(serve::TelemetryServer::respond(
-        "GET", "/trace.json?trace_id=4bf92f3577b34da6a3ce929d0e0e4736",
-        0));
+    const auto filtered = body_of(respond(
+        "GET", "/trace.json?trace_id=4bf92f3577b34da6a3ce929d0e0e4736"));
     auto doc = config::Json::parse(filtered);
     const auto& events = doc.at("traceEvents").elements();
     ASSERT_FALSE(events.empty());
@@ -235,8 +255,8 @@ TEST(TelemetryRouting, TraceIdFilterNarrowsTheDumpToOneRequest)
     }
     // The 16-hex low-word form (what records actually carry) selects the
     // same request.
-    const auto low_form = body_of(serve::TelemetryServer::respond(
-        "GET", "/trace.json?trace_id=a3ce929d0e0e4736", 0));
+    const auto low_form =
+        body_of(respond("GET", "/trace.json?trace_id=a3ce929d0e0e4736"));
     EXPECT_EQ(config::Json::parse(low_form).at("traceEvents").size(),
               events.size());
 }
@@ -252,7 +272,7 @@ TEST(TelemetryRouting, MalformedTraceIdFilterIsATypedJson400)
     };
     for (const char* target : malformed) {
         const auto response =
-            serve::TelemetryServer::respond("GET", target, 0);
+            respond("GET", target);
         EXPECT_NE(response.find("HTTP/1.0 400"), std::string::npos)
             << target;
         EXPECT_NE(body_of(response).find("\"error\""), std::string::npos)
@@ -261,11 +281,11 @@ TEST(TelemetryRouting, MalformedTraceIdFilterIsATypedJson400)
 }
 
 
-// --- live loopback server -------------------------------------------------
+// --- live loopback listener ------------------------------------------------
 
 TEST(TelemetryServer, ServesHealthzAndMetricsOverLoopback)
 {
-    auto server = serve::TelemetryServer::start(0);
+    auto server = serve::start_telemetry_listener(0);
     ASSERT_GT(server->port(), 0);
     const auto health = http_get(server->port(), "/healthz");
     EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos);
@@ -273,7 +293,8 @@ TEST(TelemetryServer, ServesHealthzAndMetricsOverLoopback)
     generate_telemetry_events();
     const auto metrics = http_get(server->port(), "/metrics");
     EXPECT_NE(metrics.find("mgko_flight_records_total"), std::string::npos);
-    EXPECT_GE(server->requests_served(), 2u);
+    EXPECT_NE(metrics.find("mgko_telemetry_requests_total"),
+              std::string::npos);
     server->stop();
 }
 
@@ -282,7 +303,7 @@ TEST(TelemetryServer, AssemblesRequestsArrivingOneByteAtATime)
     // Regression: the old serve_loop issued a single recv() and parsed
     // whatever that returned, so a request split across TCP segments was
     // served "" -> 404.  The shared reader must tolerate the worst case.
-    auto server = serve::TelemetryServer::start(0);
+    auto server = serve::start_telemetry_listener(0);
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     sockaddr_in addr{};
@@ -311,7 +332,7 @@ TEST(TelemetryServer, AssemblesRequestsArrivingOneByteAtATime)
 
 TEST(TelemetryServer, AnswersRequestTimeoutWhenHeadersNeverComplete)
 {
-    auto server = serve::TelemetryServer::start(0);
+    auto server = serve::start_telemetry_listener(0);
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     sockaddr_in addr{};
@@ -321,8 +342,9 @@ TEST(TelemetryServer, AnswersRequestTimeoutWhenHeadersNeverComplete)
     ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof(addr)),
               0);
-    // Half a request, then silence: the server must give up with 408
-    // instead of pinning its serve loop forever.
+    // Half a request, then silence: the listener must give up with 408
+    // (after the telemetry listener's one-second deadline) instead of
+    // pinning its only worker forever.
     const std::string partial = "GET /healthz HT";
     ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
               static_cast<ssize_t>(partial.size()));
@@ -334,13 +356,14 @@ TEST(TelemetryServer, AnswersRequestTimeoutWhenHeadersNeverComplete)
     }
     ::close(fd);
     EXPECT_NE(response.find("HTTP/1.0 408"), std::string::npos);
+    EXPECT_EQ(server->counters().read_errors, 1u);
     server->stop();
 }
 
 TEST(TelemetryServer, ServesTraceJsonOverLoopback)
 {
     generate_telemetry_events();
-    auto server = serve::TelemetryServer::start(0);
+    auto server = serve::start_telemetry_listener(0);
     const auto response = http_get(server->port(), "/trace.json");
     EXPECT_NE(response.find("application/json"), std::string::npos);
     auto doc = config::Json::parse(body_of(response));
@@ -350,7 +373,7 @@ TEST(TelemetryServer, ServesTraceJsonOverLoopback)
 
 TEST(TelemetryServer, StopRefusesFurtherConnections)
 {
-    auto server = serve::TelemetryServer::start(0);
+    auto server = serve::start_telemetry_listener(0);
     const int port = server->port();
     EXPECT_FALSE(http_get(port, "/healthz").empty());
     server->stop();
@@ -360,8 +383,8 @@ TEST(TelemetryServer, StopRefusesFurtherConnections)
 
 TEST(TelemetryServer, TwoInstancesBindDistinctPorts)
 {
-    auto first = serve::TelemetryServer::start(0);
-    auto second = serve::TelemetryServer::start(0);
+    auto first = serve::start_telemetry_listener(0);
+    auto second = serve::start_telemetry_listener(0);
     EXPECT_NE(first->port(), second->port());
     EXPECT_FALSE(http_get(first->port(), "/healthz").empty());
     EXPECT_FALSE(http_get(second->port(), "/healthz").empty());
@@ -417,27 +440,47 @@ TEST(TelemetryLifecycle, BindingsControlTheSharedServer)
     EXPECT_FALSE(serve::telemetry_active());
 }
 
-TEST(TelemetryLifecycle, ConfigTelemetryKeyStartsTheServer)
+TEST(TelemetryLifecycle, NewExecutorsFeedTheServedRegistryWhileItRuns)
 {
+    // Executors start no server; they ask log::metrics_from_env(), which
+    // hands out the registry /metrics serves while the server runs.
+    const auto attached = [](const Executor& exec) {
+        for (const auto& logger : exec.get_loggers()) {
+            if (logger == log::shared_metrics()) {
+                return true;
+            }
+        }
+        return false;
+    };
+    ASSERT_FALSE(serve::telemetry_active());
+    EXPECT_FALSE(attached(*ReferenceExecutor::create()));
+    serve::telemetry_start(0);
+    EXPECT_TRUE(attached(*ReferenceExecutor::create()));
+    serve::telemetry_stop();
+    EXPECT_FALSE(attached(*ReferenceExecutor::create()));
+}
+
+TEST(TelemetryLifecycle, StrictConfigRejectsTheTelemetryKey)
+{
+    // Config starts no server: the removed "telemetry" key is an unknown
+    // key to strict config, like any typo.
     ASSERT_FALSE(serve::telemetry_active());
     auto exec = ReferenceExecutor::create();
     auto a = std::shared_ptr<Csr<double, int32>>{
         Csr<double, int32>::create_from_data(
             exec, test::laplacian_1d<double, int32>(16))};
-    auto solver = config::config_solver(
-        config::Json::parse(
-            R"({"type": "cg", "max_iters": 5, "telemetry": true})"),
-        exec, a);
-    EXPECT_TRUE(serve::telemetry_active());
-    const int port = serve::telemetry_port();
-    EXPECT_FALSE(http_get(port, "/healthz").empty());
-    auto b = Dense<double>::create_filled(exec, dim2{16, 1}, 1.0);
-    auto x = Dense<double>::create_filled(exec, dim2{16, 1}, 0.0);
-    solver->apply(b.get(), x.get());
-    // The solve's events are visible through the live endpoint.
-    const auto profile = body_of(http_get(port, "/profile.json"));
-    EXPECT_TRUE(config::Json::parse(profile).contains("tags"));
-    serve::telemetry_stop();
+    try {
+        config::config_solver(
+            config::Json::parse(
+                R"({"type": "cg", "max_iters": 5, "telemetry": true})"),
+            exec, a);
+        FAIL() << "the \"telemetry\" key was accepted";
+    } catch (const BadParameter& e) {
+        EXPECT_NE(std::string{e.what()}.find("unknown config key 'telemetry'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(serve::telemetry_active());
 }
 
 }  // namespace
